@@ -63,11 +63,9 @@ class CampaignRunner:
     cache_dir:
         Result cache handed to the :class:`JobRunner`; defaults to
         ``out_dir / "cache"``.  Sharing one cache directory across
-        campaigns lets overlapping matrices answer each other's cells.
-    seed_engines:
-        Warm-start executions from the cache's engine-state store
-        (default on — campaigns are exactly the sibling-heavy traffic the
-        store exists for).
+        campaigns lets overlapping matrices answer each other's cells, and
+        executions warm-start from its engine-state store (campaigns are
+        exactly the sibling-heavy traffic the store exists for).
     trajectory_path:
         Where the per-run history line is appended; defaults to
         ``out_dir / "trajectory.jsonl"``.  Point several campaigns at one
@@ -80,7 +78,6 @@ class CampaignRunner:
         out_dir: Union[str, Path],
         workers: int = 1,
         cache_dir: Union[str, Path, None] = None,
-        seed_engines: bool = True,
         trajectory_path: Union[str, Path, None] = None,
     ) -> None:
         self.out_dir = Path(out_dir)
@@ -88,7 +85,6 @@ class CampaignRunner:
         self.cells_dir.mkdir(parents=True, exist_ok=True)
         self.cache_dir = Path(cache_dir) if cache_dir else self.out_dir / "cache"
         self.workers = max(1, int(workers))
-        self.seed_engines = seed_engines
         self.trajectory_path = (
             Path(trajectory_path) if trajectory_path
             else self.out_dir / "trajectory.jsonl"
@@ -164,11 +160,7 @@ class CampaignRunner:
         resumed = len(records)
         budget = len(pending) if max_cells is None else min(max_cells, len(pending))
         executed = 0
-        runner = JobRunner(
-            workers=self.workers,
-            cache_dir=self.cache_dir,
-            seed_engines=self.seed_engines,
-        )
+        runner = JobRunner(workers=self.workers, cache_dir=self.cache_dir)
         # Batches of `workers` cells: wide enough to use the pool, narrow
         # enough that a crash between batches loses almost nothing.
         while executed < budget:

@@ -21,13 +21,12 @@ a different operating point that *shares* the params-independent spec and
 requirement caches (the frequency searches lean on this).
 
 The result and evaluation caches are also *portable*:
-:meth:`export_results` / :meth:`import_results` and
-:meth:`export_evaluations` / :meth:`import_evaluations` serialise what an
+:meth:`export_results` and :meth:`export_evaluations` serialise what an
 engine computed, and :meth:`attach_store` points an engine at an on-disk
 :class:`~repro.jobs.store.EngineStateStore` it reads keyed on cache misses
-— the jobs layer uses this to warm-start every execution from what sibling
-runs already computed (:meth:`cache_info` documents the counters that
-prove it).
+— the jobs layer ingests the exports into that store and uses it to
+warm-start every execution from what sibling runs already computed
+(:meth:`cache_info` documents the counters that prove it).
 
 Everything the engine returns is bit-identical to driving
 :class:`UnifiedMapper` directly — caches (including imported and
@@ -327,22 +326,13 @@ class MappingEngine:
         self._results: "OrderedDict" = OrderedDict()
         #: spec hash -> compiled worst-case spec (see worst_case)
         self._worst_specs: "OrderedDict[str, CompiledSpec]" = OrderedDict()
-        #: exported-result documents offered to this engine (import_results);
-        #: shared by reference with with_params siblings so operating-point
-        #: probes can index the entries that match *their* params
-        self._seed_entries: List[Dict] = []
-        #: result-cache key -> raw exported document, for entries matching
-        #: this engine's operating point; deserialised lazily on a map()
-        #: miss, so a large corpus costs nothing until a job actually needs
-        #: one of its mappings
-        self._seed_index: Dict = {}
-        #: result-cache keys that were materialised from seed entries rather
-        #: than computed here; export_results skips them so a seeded engine
-        #: never re-exports (and thereby snowballs) the corpus it was fed
+        #: result-cache keys that were read from the attached store rather
+        #: than computed here; export_results skips them so a store-warmed
+        #: engine never re-exports (and thereby snowballs) what it was fed
         self._imported_keys: set = set()
         #: exported-evaluation documents offered via import_evaluations;
-        #: shared by reference with with_params siblings (same discipline as
-        #: ``_seed_entries``)
+        #: shared by reference with with_params siblings so operating-point
+        #: probes can index the entries that match *their* params
         self._seed_eval_docs: List[Dict] = []
         #: serialisable evaluation key -> raw outcome document, for entries
         #: matching this engine's operating point; consulted (and drained)
@@ -444,9 +434,6 @@ class MappingEngine:
         sibling._bundles = self._bundles
         sibling._worst_specs = self._worst_specs
         sibling._counters = self._counters
-        sibling._seed_entries = self._seed_entries
-        if self._seed_entries:
-            sibling._index_seeds(self._seed_entries)
         sibling._seed_eval_docs = self._seed_eval_docs
         if self._seed_eval_docs:
             sibling._index_eval_seeds(self._seed_eval_docs)
@@ -478,12 +465,10 @@ class MappingEngine:
             self._results.move_to_end(key)
             self._counters["result_hits"] += 1
             return cached
-        seeded = self._materialise_seed(key)
-        if seeded is None:
-            seeded = self._materialise_store_result(key)
-        if seeded is not None:
+        stored = self._materialise_store_result(key)
+        if stored is not None:
             self._counters["result_hits"] += 1
-            return seeded
+            return stored
         self._counters["result_misses"] += 1
         if self.config.backend == "ilp":
             # The exact backend uses this engine's fixed-placement evaluator
@@ -882,10 +867,10 @@ class MappingEngine:
             docstring); sizes, not cumulative counts.
         ``result_hits`` / ``result_misses``
             Full mapping runs (:meth:`map`) answered from cache / actually
-            performed.  A hit includes results materialised from imported
-            seeds or an attached store; a job served entirely without
-            recomputation reports ``result_misses == 0``, which is how the
-            seeding tests prove nothing was recomputed.
+            performed.  A hit includes results read from an attached
+            store; a job served entirely without recomputation reports
+            ``result_misses == 0``, which is how the warm-start tests prove
+            nothing was recomputed.
         ``evaluation_hits`` / ``evaluation_misses``
             Fixed-placement group evaluations (the refinement hot path,
             :meth:`placement_cost` / :meth:`evaluate_placement`) answered
@@ -895,9 +880,9 @@ class MappingEngine:
             ``evaluation_misses == 0``.
         ``imported_results`` / ``imported_evaluations``
             How many of the hits above were materialised from *imported*
-            state (:meth:`import_results` / :meth:`import_evaluations` /
-            an attached :class:`~repro.jobs.store.EngineStateStore`)
-            rather than computed earlier in this process.
+            state (an attached :class:`~repro.jobs.store.EngineStateStore`
+            or :meth:`import_evaluations`) rather than computed earlier in
+            this process.
         ``screen_hits`` / ``screen_misses``
             Traffic of the batched candidate screen (:meth:`screener`):
             group projections answered from a screen's run-local memo /
@@ -941,70 +926,12 @@ class MappingEngine:
         """
         self._store = store
 
-    def import_results(self, entries: Iterable[Dict]) -> int:
-        """Seed the full-mapping result cache from exported result entries.
-
-        The import half of :meth:`export_results` (ROADMAP follow-up (h)):
-        each entry is re-keyed under ``(spec_hash, groups, method)`` and a
-        subsequent :meth:`map` of the same specification returns the rebuilt
-        result without re-evaluating anything.  Only entries whose stored
-        ``params``/``config`` match this engine's operating point are
-        admitted to its seed index — the rest are retained and offered to
-        every :meth:`with_params` sibling, so a frequency search's probes
-        can hit too.  Indexing is cheap (no deserialisation); an entry is
-        rebuilt into a live ``MappingResult`` only when a :meth:`map` call
-        actually asks for its key, so a large corpus costs nothing per
-        engine until a job needs one of its mappings.  Entries that are
-        malformed, already cached or from a different operating point are
-        skipped silently; the count of newly indexed entries is returned.
-
-        Seeding only ever short-circuits deterministic recomputation: the
-        round trip through :func:`mapping_result_from_dict` is canonical, so
-        a seeded engine is bit-identical to a cold one.
-        """
-        fresh = [entry for entry in entries if isinstance(entry, dict)]
-        self._seed_entries.extend(fresh)
-        return self._index_seeds(fresh)
-
-    def _index_seeds(self, entries: Iterable[Dict]) -> int:
-        """Admit matching entries to the lazy seed index; returns how many."""
-        params_document = self.params.to_dict()
-        config_document = self.config.to_dict()
-        indexed = 0
-        for entry in entries:
-            try:
-                document = entry["result"]
-                key = (
-                    entry["spec_hash"],
-                    tuple(frozenset(group) for group in entry["groups"]),
-                    entry["method"],
-                )
-            except (KeyError, TypeError):
-                continue
-            if not isinstance(document, dict):
-                continue
-            if (
-                document.get("params") != params_document
-                or document.get("config") != config_document
-            ):
-                continue
-            if key in self._results or key in self._seed_index:
-                continue
-            self._seed_index[key] = document
-            indexed += 1
-        return indexed
-
-    def _materialise_seed(self, key) -> Optional[MappingResult]:
-        """Rebuild one indexed seed entry on demand (a :meth:`map` miss)."""
-        document = self._seed_index.pop(key, None)
-        if document is None:
-            return None
-        return self._admit_imported_result(key, document)
-
     def _materialise_store_result(self, key) -> Optional[MappingResult]:
         """Look one :meth:`map` miss up in the attached engine-state store."""
         if self._store is None:
             return None
+        from repro.io.serialization import mapping_result_from_dict
+
         spec_hash, resolved, method_name = key
         params_document, config_document = self._own_documents()
         store_key = self._store.result_key(
@@ -1017,14 +944,8 @@ class MappingEngine:
         entry = self._store.get_result(store_key)
         if not isinstance(entry, dict) or not isinstance(entry.get("result"), dict):
             return None
-        return self._admit_imported_result(key, entry["result"])
-
-    def _admit_imported_result(self, key, document: Dict) -> Optional[MappingResult]:
-        """Rebuild an imported result document into the result cache."""
-        from repro.io.serialization import mapping_result_from_dict
-
         try:
-            result = mapping_result_from_dict(document)
+            result = mapping_result_from_dict(entry["result"])
         except ReproError:
             return None  # corrupt entry: fall through to recomputation
         self._results[key] = result
@@ -1061,11 +982,12 @@ class MappingEngine:
     def import_evaluations(self, documents: Iterable[Dict]) -> int:
         """Seed the fixed-placement evaluation cache from exported entries.
 
-        The import half of :meth:`export_evaluations`, with the same
-        lazy-index, never-re-export discipline as :meth:`import_results`:
-        entries whose context matches this engine's operating point are
-        admitted to a key-addressed index (no deserialisation up front) and
-        rebuilt into live :class:`~repro.core.mapping.PairPlacement` lists
+        The in-memory import half of :meth:`export_evaluations` (the jobs
+        layer goes through an attached store instead), with a lazy-index,
+        never-re-export discipline: entries whose context matches this
+        engine's operating point are admitted to a key-addressed index (no
+        deserialisation up front) and rebuilt into live
+        :class:`~repro.core.mapping.PairPlacement` lists
         only when an evaluation miss actually asks for their key; the raw
         documents are retained and offered to every :meth:`with_params`
         sibling.  Materialised entries are excluded from
@@ -1231,20 +1153,17 @@ class MappingEngine:
     def export_results(self) -> List[Dict]:
         """Serialise the full-mapping results *this engine computed*.
 
-        Results that were materialised from imported seed entries are
-        excluded — the store they came from already holds them, and
-        re-exporting would snowball every downstream envelope with the
-        whole prior corpus.
+        Results that were read from the attached store are excluded — the
+        store already holds them, and re-exporting would snowball it with
+        the whole prior corpus.
 
         Each entry carries the cache key components (``spec_hash``,
         ``groups``, ``method``) plus the :func:`mapping_result_to_dict`
-        payload, so an external store — a sweep farm's artifact bucket, or
-        the persistent :class:`~repro.jobs.cache.JobCache` — can dump what
-        this process computed and rebuild the results elsewhere.
-        :meth:`import_results` is the matching import half: the jobs layer
-        attaches these entries to every stored ``JobResult`` envelope and
-        seeds fresh engines from them (``JobCache.seed_engine``), so a job
-        that *contains* an already-computed mapping skips recomputation.
+        payload — the shape :meth:`EngineStateStore.ingest
+        <repro.jobs.store.EngineStateStore.ingest>` consumes.  The jobs
+        layer ingests these after every execution, so a later job that
+        *contains* an already-computed mapping reads it from the store
+        instead of recomputing it.
         """
         from repro.io.serialization import mapping_result_to_dict
 

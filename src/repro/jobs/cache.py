@@ -17,7 +17,10 @@ The store is deliberately simple and concurrency-tolerant:
   reader never observes a half-written entry, and concurrent writers of the
   same key overwrite each other with identical content (payloads are pure
   functions of the key);
-* unreadable or corrupt entries count as misses and are re-computed.
+* entries are compact JSON (no indentation, so the C encoder writes them)
+  and carry no engine state — that lives in the engine-state store;
+* unreadable or corrupt entries — including documents that parse but are
+  not this key's envelope — count as misses and are re-computed.
 """
 
 from __future__ import annotations
@@ -37,19 +40,19 @@ class JobCache:
 
     Besides the envelope files, the cache owns an
     :class:`~repro.jobs.store.EngineStateStore` under
-    ``<directory>/engine-state/`` — the seed corpus is *delegated* to it:
-    engines attached to the store read previously exported mappings and
-    fixed-placement evaluations directly from disk, keyed, instead of the
-    whole corpus being collected from envelopes and shipped around (see
-    :meth:`sync_store` for how envelope-borne exports are folded in).
+    ``<directory>/engine-state/`` — the only warm-start path: engines
+    attached to the store read previously exported mappings and
+    fixed-placement evaluations directly from disk, keyed (see
+    :meth:`sync_store` for how envelopes written before that carried their
+    exports inline are folded in).
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        #: the keyed on-disk engine-state store this cache's seed corpus
-        #: lives in (envelope files stay at the top level; the store's
-        #: subtree never collides with the ``*.json`` envelope glob)
+        #: the keyed on-disk engine-state store executions warm-start from
+        #: (envelope files stay at the top level; the store's subtree never
+        #: collides with the ``*.json`` envelope glob)
         self.store = EngineStateStore(self.directory / "engine-state")
         #: number of lookups answered from disk / missed since construction
         self.hits = 0
@@ -61,12 +64,29 @@ class JobCache:
         """The file one key's result lives in."""
         return self.directory / f"{key}.json"
 
-    def get(self, key: str) -> Optional[Dict]:
-        """The stored result document for a key, or ``None`` on a miss."""
-        target = self.path_for(key)
+    @staticmethod
+    def _read(path: Path):
+        """The parsed JSON document in ``path``, or ``None`` if unreadable."""
         try:
-            document = json.loads(target.read_text())
+            return json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
+            return None
+
+    def get(self, key: str) -> Optional[Dict]:
+        """The stored result document for a key, or ``None`` on a miss.
+
+        Anything but this key's envelope — unreadable, not JSON, or JSON
+        that is not a dict with a ``kind``, a dict ``payload`` and a
+        ``spec_hash`` equal to ``key`` — is a miss, so the job is recomputed
+        and the entry overwritten.
+        """
+        document = self._read(self.path_for(key))
+        if (
+            not isinstance(document, dict)
+            or "kind" not in document
+            or not isinstance(document.get("payload"), dict)
+            or document.get("spec_hash") != key
+        ):
             self.misses += 1
             return None
         self.hits += 1
@@ -76,35 +96,34 @@ class JobCache:
         """Atomically store one result document; returns the path written."""
         target = self.path_for(key)
         scratch = target.with_suffix(f".tmp.{os.getpid()}")
-        scratch.write_text(json.dumps(document, indent=2))
+        scratch.write_text(json.dumps(document))
         os.replace(scratch, target)
         self.stores += 1
         return target
 
-    def engine_exports(self, seen: Optional[set] = None) -> List[Dict]:
-        """Every engine-result entry attached to the stored envelopes.
+    def sync_store(self, seen: Optional[set] = None) -> Dict[str, int]:
+        """Fold envelope-borne engine exports into the engine-state store.
 
-        Stored :class:`~repro.jobs.runner.JobResult` documents carry the
-        executing engine's :meth:`~repro.core.engine.MappingEngine.export_results`
-        entries; this collects them across the whole store (unreadable
-        entries are skipped, and the hit/miss counters are deliberately left
-        untouched — seeding is not a lookup).  Feed the list to
-        :meth:`~repro.core.engine.MappingEngine.import_results`, or use
-        :meth:`seed_engine` directly.
+        Envelopes written before the store was the only warm-start path
+        carry their engine's exported results inline (``engine_results``);
+        this reads them and ingests those entries into :attr:`store`, after
+        which store-attached engines can read them keyed.  Unreadable
+        entries are skipped, and the hit/miss counters are deliberately
+        left untouched — folding is not a lookup.  Idempotent: the store
+        skips keys it already holds.
 
-        ``seen`` makes repeated collection incremental: envelope file names
-        recorded in the set are skipped and newly read names are added, so
-        a long-lived caller (the service's :class:`JobRunner`) re-parses
-        only the envelopes stored since its last call instead of the whole
-        directory on every drain.
+        ``seen`` makes repeated folding incremental: envelope file names in
+        the set are skipped and newly read names are added, so a long-lived
+        caller (the service's :class:`~repro.jobs.runner.JobRunner`)
+        re-parses only the envelopes stored since its last call instead of
+        the whole directory on every drain.
         """
         exports: List[Dict] = []
         for stored in sorted(self.directory.glob("*.json")):
             if seen is not None and stored.name in seen:
                 continue
-            try:
-                document = json.loads(stored.read_text())
-            except (OSError, json.JSONDecodeError):
+            document = self._read(stored)
+            if document is None:
                 continue
             if seen is not None:
                 seen.add(stored.name)
@@ -113,34 +132,7 @@ class JobCache:
             entries = document.get("engine_results")
             if isinstance(entries, list):
                 exports.extend(entry for entry in entries if isinstance(entry, dict))
-        return exports
-
-    def sync_store(self, seen: Optional[set] = None) -> Dict[str, int]:
-        """Fold envelope-borne engine exports into the engine-state store.
-
-        Envelopes written before the store existed (or by foreign writers
-        that only drop result documents) carry their engine exports inline;
-        this reads them (incrementally, via the same ``seen`` discipline as
-        :meth:`engine_exports`) and ingests them into :attr:`store`, after
-        which store-attached engines can read them keyed.  Idempotent: the
-        store skips keys it already holds.
-        """
-        return self.store.ingest(self.engine_exports(seen=seen))
-
-    def seed_engine(self, engine) -> int:
-        """Seed a :class:`~repro.core.engine.MappingEngine` from this cache.
-
-        Closes ROADMAP follow-up (h): a fresh engine inherits every mapping
-        any cached job computed, so a job that merely *contains* one of
-        those mappings (a refine job whose initial mapping a design-flow job
-        already produced, a frequency probe at an already-solved operating
-        point) performs zero mapping re-evaluations.  Also attaches
-        :attr:`store`, so fixed-placement evaluations a sibling run
-        persisted are read on demand too.  Returns the number of result
-        entries the engine newly indexed from the envelopes.
-        """
-        engine.attach_store(self.store)
-        return engine.import_results(self.engine_exports())
+        return self.store.ingest(exports)
 
     def keys(self) -> Iterator[str]:
         """All keys currently stored."""

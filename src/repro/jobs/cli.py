@@ -91,10 +91,10 @@ Three subcommands cover the common workflows without writing any Python:
 
 Every subcommand accepts ``--workers N`` (process-pool fan-out) and
 ``--cache-dir DIR`` (persistent result cache; executions additionally
-warm-start from the cache's engine-state store unless ``--no-seed`` is
-given); all but ``serve`` also take ``--out FILE`` (write the full
-:class:`~repro.jobs.runner.JobResult` envelopes as JSON — ``serve`` writes
-per-file envelopes into ``INBOX/results/`` instead).  A short
+warm-start from the cache's engine-state store); all but ``serve`` also
+take ``--out FILE`` (write the full :class:`~repro.jobs.runner.JobResult`
+envelopes as JSON — ``serve`` writes per-file envelopes into
+``INBOX/results/`` instead).  A short
 human-readable digest always goes to stdout.  Exit status is 0 on success
 and 1 on any error (for ``serve --once``: if any submitted file failed).
 """
@@ -137,11 +137,6 @@ def _add_common_options(
              "already-computed jobs are returned from disk instead of re-run, "
              "and executions read previously computed engine state from the "
              "cache's engine-state store",
-    )
-    parser.add_argument(
-        "--no-seed", action="store_true",
-        help="do not warm-start executions from the cache's engine-state "
-             "store (only meaningful with --cache-dir)",
     )
     if include_out:
         parser.add_argument(
@@ -554,10 +549,7 @@ def _execute_jobs(jobs, args, base_dir: Optional[Path] = None):
         if not out_parent.is_dir():
             return _fail(f"--out directory {out_parent} does not exist"), []
     runner = JobRunner(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        base_dir=base_dir,
-        seed_engines=args.cache_dir is not None and not args.no_seed,
+        workers=args.workers, cache_dir=args.cache_dir, base_dir=base_dir
     )
     results = runner.run_many(jobs)
     for index, result in enumerate(results):
@@ -831,7 +823,7 @@ def _command_failures(args) -> int:
     use_cases = load_use_case_set(args.design_file)
     baseline = None if args.baseline is None else load_mapping_result(args.baseline)
     engine = MappingEngine()
-    if args.cache_dir is not None and not args.no_seed:
+    if args.cache_dir is not None:
         from repro.jobs.cache import JobCache
 
         engine.attach_store(JobCache(args.cache_dir).store)
@@ -873,7 +865,6 @@ def _command_campaign(args) -> int:
         out_dir,
         workers=args.workers,
         cache_dir=args.cache_dir,
-        seed_engines=not args.no_seed,
         trajectory_path=args.trajectory,
     )
     print(f"campaign {spec.name}  hash {campaign_hash(spec)[:16]}  "
@@ -1015,7 +1006,6 @@ def _command_serve(args) -> int:
         args.inbox[0],
         workers=args.workers,
         cache_dir=args.cache_dir,
-        seed_engines=not args.no_seed,
         max_attempts=args.max_attempts,
         retry_backoff_s=args.retry_backoff,
         job_timeout_s=args.job_timeout,
@@ -1079,7 +1069,7 @@ def _command_monitor(args) -> int:
     from repro.ops.probe import ScriptProbeSource
 
     store_path = None
-    if args.cache_dir is not None and not args.no_seed:
+    if args.cache_dir is not None:
         from repro.jobs.cache import JobCache
 
         store_path = JobCache(args.cache_dir).store.directory

@@ -16,11 +16,11 @@ responsibilities and nothing else:
 * **persistence** — with a ``cache_dir``, results are stored on disk keyed
   by :func:`repro.jobs.spec.job_hash` (design content + params + config +
   kind + knobs) and later runs — in this process or any other — skip
-  execution entirely.  With ``seed_engines=True`` the cache's
-  :class:`~repro.jobs.store.EngineStateStore` additionally warm-starts the
-  *inside* of executions: fresh engines read previously computed mappings
-  and fixed-placement evaluations straight from disk, so even a job whose
-  hash was never cached skips the work a sibling already did.
+  execution entirely.  The cache's :class:`~repro.jobs.store.EngineStateStore`
+  additionally warm-starts the *inside* of executions: fresh engines read
+  previously computed mappings and fixed-placement evaluations straight
+  from disk, so even a job whose hash was never cached skips the work a
+  sibling already did.
 
 Every execution returns a :class:`JobResult` envelope: the job kind, the
 spec hash, the params/config the job ran under, the deterministic
@@ -78,10 +78,6 @@ class JobResult:
     elapsed_s: float = 0.0
     cached: bool = False
     stats: Dict = field(default_factory=dict)
-    #: the executing engine's exported full-mapping results (the seed corpus
-    #: of :meth:`~repro.core.engine.MappingEngine.import_results`); carried
-    #: outside the payload, like the other diagnostics
-    engine_results: List = field(default_factory=list)
 
     def to_dict(self) -> Dict:
         """JSON-ready dictionary form (what the cache stores)."""
@@ -94,11 +90,16 @@ class JobResult:
             "elapsed_s": self.elapsed_s,
             "cached": self.cached,
             "stats": self.stats,
-            "engine_results": self.engine_results,
         }
 
     @classmethod
     def from_dict(cls, document: Dict) -> "JobResult":
+        """Rebuild an envelope from its dictionary form.
+
+        Unknown keys are ignored — e.g. the ``engine_results`` that
+        envelopes written before the store was the only warm-start path
+        still carry.
+        """
         return cls(
             kind=document["kind"],
             spec_hash=document["spec_hash"],
@@ -108,7 +109,6 @@ class JobResult:
             elapsed_s=float(document.get("elapsed_s", 0.0)),
             cached=bool(document.get("cached", False)),
             stats=document.get("stats", {}),
-            engine_results=document.get("engine_results", []),
         )
 
 
@@ -257,7 +257,7 @@ def _execute_portfolio(job: "PortfolioRefineJob", engine: MappingEngine) -> Dict
             with ProcessPoolExecutor(
                 max_workers=min(job.workers, len(documents)),
                 initializer=_init_worker,
-                initargs=(False, store_path),
+                initargs=(store_path,),
             ) as pool:
                 futures = [
                     pool.submit(_execute_document, document, spec_hash)
@@ -268,8 +268,7 @@ def _execute_portfolio(job: "PortfolioRefineJob", engine: MappingEngine) -> Dict
                 ]
         else:
             chain_results = [
-                execute_job(chain, spec_hash,
-                            export_engine=False, store_path=store_path)
+                execute_job(chain, spec_hash, store_path=store_path)
                 for chain, spec_hash in work
             ]
     finally:
@@ -514,8 +513,6 @@ _EXECUTORS: Dict[str, Callable[[JobSpec, MappingEngine], Dict]] = {
 def execute_job(
     job: JobSpec,
     spec_hash: Optional[str] = None,
-    engine_seed: Optional[List[Dict]] = None,
-    export_engine: bool = True,
     store_path: Union[str, Path, None] = None,
 ) -> JobResult:
     """Execute one (resolved) job in this process and envelope the outcome.
@@ -529,14 +526,9 @@ def execute_job(
     previously exported mapping results and fixed-placement evaluations
     directly from it on cache misses (only the keys it needs — nothing is
     shipped up front), and what the execution newly computed is ingested
-    back afterwards.  ``engine_seed`` is the in-memory alternative: a list
-    of previously exported result entries fed through
-    :meth:`MappingEngine.import_results`.  Both preserve the purity
-    invariant because seeding only short-circuits deterministic
-    recomputation — a seeded payload is bit-identical to a cold one.
-    ``export_engine=False`` skips attaching the engine's exported mappings
-    to the envelope — the runner passes it when no cache will store them,
-    sparing ``--out`` files and memory the corpus nothing consumes.
+    back afterwards.  This preserves the purity invariant because store
+    reads only short-circuit deterministic recomputation — a warm payload
+    is bit-identical to a cold one.
     """
     try:
         executor = _EXECUTORS[job.KIND]
@@ -549,47 +541,36 @@ def execute_job(
 
         store = EngineStateStore(store_path)
         engine.attach_store(store)
-    if engine_seed:
-        engine.import_results(engine_seed)
     started = time.perf_counter()
     payload = executor(job, engine)
     elapsed = time.perf_counter() - started
     if store is not None:
         # Persist what this execution newly computed (exports exclude
-        # imported state, and the store skips keys it already holds, so
+        # store-read state, and the store skips keys it already holds, so
         # the corpus stays proportional to distinct computations).
         store.ingest(engine.export_results(), engine.export_evaluations())
-    # Canonicalise through JSON so in-process results are indistinguishable
-    # from pool-transported or cache-loaded ones (tuples become lists etc.).
-    canonical = json.loads(
-        json.dumps({
-            "payload": payload,
-            "engine_results": engine.export_results() if export_engine else [],
-        })
-    )
     return JobResult(
         kind=job.KIND,
         spec_hash=spec_hash or job_hash(job),
         params=job.params.to_dict(),
         config=job.config.to_dict(),
-        payload=canonical["payload"],
+        # Canonicalise through JSON so in-process results are
+        # indistinguishable from pool-transported or cache-loaded ones
+        # (tuples become lists etc.).
+        payload=json.loads(json.dumps(payload)),
         elapsed_s=elapsed,
         stats={"engine": engine.cache_info()},
-        engine_results=canonical["engine_results"],
     )
 
 
-#: per-pool-worker execution context, installed once by the pool initializer;
-#: the store *path* is the whole seed transport — each worker reads only the
-#: keys it misses straight from disk (ROADMAP follow-up (n): no pickled
-#: corpus travels to the pool)
-_WORKER_EXPORT = True
+#: per-pool-worker engine-state store, installed once by the pool
+#: initializer; the store *path* is the whole warm-start transport — each
+#: worker reads only the keys it misses straight from disk
 _WORKER_STORE_PATH: Optional[str] = None
 
 
-def _init_worker(export_engine: bool, store_path: Optional[str]) -> None:
-    global _WORKER_EXPORT, _WORKER_STORE_PATH
-    _WORKER_EXPORT = export_engine
+def _init_worker(store_path: Optional[str]) -> None:
+    global _WORKER_STORE_PATH
     _WORKER_STORE_PATH = store_path
 
 
@@ -598,8 +579,7 @@ def _execute_document(document: Dict, spec_hash: str) -> Dict:
     from repro.jobs.spec import job_from_dict
 
     return execute_job(
-        job_from_dict(document), spec_hash,
-        export_engine=_WORKER_EXPORT, store_path=_WORKER_STORE_PATH,
+        job_from_dict(document), spec_hash, store_path=_WORKER_STORE_PATH
     ).to_dict()
 
 
@@ -618,21 +598,20 @@ class JobRunner:
         Optional directory of the persistent result cache.  When set,
         results are stored after execution and later runs (any process)
         return them without re-computing; :attr:`executed_jobs` counts the
-        executions that actually happened.
+        executions that actually happened.  Every execution's fresh engine
+        is also attached to the cache's on-disk
+        :class:`~repro.jobs.store.EngineStateStore` and ingests what it
+        computed back into it, so a job that merely *contains*
+        already-computed engine state — a refine job whose initial mapping
+        a cached design-flow job produced, a warm refinement whose
+        candidate evaluations a sibling run performed — reads it from the
+        store instead of recomputing.  Workers receive the store *path*
+        (never a pickled corpus) and fetch only the keys they miss.
+        Payloads are unaffected: store reads only short-circuit
+        deterministic recomputation.
     base_dir:
         Directory that relative ``path`` use-case sources resolve against
         (the CLI passes the job file's directory).
-    seed_engines:
-        When true (and a cache is configured), every execution's fresh
-        engine is attached to the cache's on-disk
-        :class:`~repro.jobs.store.EngineStateStore`, so a job that merely
-        *contains* already-computed engine state — a refine job whose
-        initial mapping a cached design-flow job produced, a warm
-        refinement whose candidate evaluations a sibling run performed —
-        reads it from the store instead of recomputing.  Workers receive
-        the store *path* (never a pickled corpus) and fetch only the keys
-        they miss.  Payloads are unaffected: seeding only short-circuits
-        deterministic recomputation.
     """
 
     def __init__(
@@ -640,17 +619,16 @@ class JobRunner:
         workers: Optional[int] = None,
         cache_dir: Union[str, Path, None] = None,
         base_dir: Union[str, Path, None] = None,
-        seed_engines: bool = False,
     ) -> None:
         self.workers = workers
         self.cache = None if cache_dir is None else JobCache(cache_dir)
         self.base_dir = base_dir
-        self.seed_engines = seed_engines
         #: number of jobs this runner actually executed (cache misses)
         self.executed_jobs = 0
-        #: envelope files whose engine exports were already folded into the
-        #: store; later drains (the service calls run_many per file) only
-        #: sync what appeared since
+        #: envelope file names sync_store need not read again: ones already
+        #: folded, and ones this runner put itself (their engine state went
+        #: straight into the store); later drains only read what appeared
+        #: since
         self._seed_files: set = set()
 
     def run(self, job: JobSpec) -> JobResult:
@@ -693,9 +671,9 @@ class JobRunner:
 
         if pending:
             store_path = None
-            if self.seed_engines and self.cache is not None:
-                # Fold engine exports carried by envelopes the store has not
-                # seen yet (legacy caches, foreign writers) into the store,
+            if self.cache is not None:
+                # Fold engine exports carried by envelopes written before
+                # the store was the only warm-start path into the store,
                 # then hand executions the store *path* — workers read only
                 # the keys they miss; nothing is pickled to the pool.
                 self.cache.sync_store(seen=self._seed_files)
@@ -704,13 +682,13 @@ class JobRunner:
                 [(resolved[index], hashes[index]) for index in pending.values()],
                 workers,
                 store_path,
-                export_engine=self.cache is not None,
             )
             self.executed_jobs += len(fresh)
             for result in fresh:
                 results[pending[result.spec_hash]] = result
                 if self.cache is not None:
-                    self.cache.put(result.spec_hash, result.to_dict())
+                    stored = self.cache.put(result.spec_hash, result.to_dict())
+                    self._seed_files.add(stored.name)
 
         # Fan results out to duplicate and cache-hit positions.
         by_hash = {
@@ -726,27 +704,25 @@ class JobRunner:
         work: List,
         workers: Optional[int],
         store_path: Optional[str] = None,
-        export_engine: bool = True,
     ) -> List[JobResult]:
         """Run (job, hash) pairs serially or over a process pool.
 
         ``workers >= 2`` always goes through the pool — even for a single
         job — so the transport path (pickling, worker imports) is exercised
-        whenever the caller asked for it.  Seeding travels as the store
-        *path* via the pool initializer; each worker opens the store itself
-        and reads only the keys its jobs miss.
+        whenever the caller asked for it.  The store travels as its *path*
+        via the pool initializer; each worker opens the store itself and
+        reads only the keys its jobs miss.
         """
         if not workers or workers <= 1:
             return [
-                execute_job(job, spec_hash,
-                            export_engine=export_engine, store_path=store_path)
+                execute_job(job, spec_hash, store_path=store_path)
                 for job, spec_hash in work
             ]
         documents = [(job_to_dict(job), spec_hash) for job, spec_hash in work]
         with ProcessPoolExecutor(
             max_workers=min(workers, len(work)),
             initializer=_init_worker,
-            initargs=(export_engine, store_path),
+            initargs=(store_path,),
         ) as pool:
             futures = [
                 pool.submit(_execute_document, document, spec_hash)

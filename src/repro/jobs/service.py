@@ -5,7 +5,7 @@ the queue.  Producers submit work by dropping job-spec JSON files (any shape
 :func:`repro.jobs.spec.load_jobs` accepts) into an *inbox*; a
 :class:`JobDirectoryService` tails the inbox and drives every submitted file
 through the :class:`~repro.jobs.runner.JobRunner` — with its process pool,
-its persistent :class:`~repro.jobs.cache.JobCache` and cache-seeded engines.
+its persistent :class:`~repro.jobs.cache.JobCache` and store-warmed engines.
 
 Everything lives inside the inbox directory::
 
@@ -50,7 +50,9 @@ The lifecycle contract:
   and handled like any transient failure.  Results are written to a
   temporary file and validated (parsed) by the parent before the atomic
   rename that publishes them, so a crash mid-write can never publish a
-  torn results file.
+  torn results file.  In both modes the results are compact JSON: any
+  ``indent`` would force CPython's pure-Python encoder, which costs a
+  cache hit more than everything else it does.
 
 Every processed file appends one record to ``manifest.jsonl`` (append-only,
 one JSON object per line) so external tooling can tail service history
@@ -112,13 +114,10 @@ class JobDirectoryService:
     cache_dir:
         Directory of the persistent result cache.  Strongly recommended for
         a service: resubmitted and resumed files are answered from disk, and
-        fresh engines are seeded from the cached engine exports.
-    seed_engines:
-        Seed every execution's engine from the cache's exported mapping
-        results (only meaningful with ``cache_dir``; default on).
+        fresh engines warm-start from the cache's engine-state store.
     runner:
         Inject a pre-configured :class:`JobRunner` instead (overrides the
-        three knobs above).
+        two knobs above).
     manifest_max_bytes:
         Rotation threshold for ``manifest.jsonl``: once the live file
         reaches this size, the next record rotates it to
@@ -152,7 +151,6 @@ class JobDirectoryService:
         inbox: Union[str, Path],
         workers: Optional[int] = None,
         cache_dir: Union[str, Path, None] = None,
-        seed_engines: bool = True,
         runner: Optional[JobRunner] = None,
         manifest_max_bytes: int = DEFAULT_MANIFEST_MAX_BYTES,
         max_attempts: int = 3,
@@ -171,11 +169,7 @@ class JobDirectoryService:
             directory.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.inbox / "manifest.jsonl"
         self.manifest_max_bytes = manifest_max_bytes
-        self.runner = runner or JobRunner(
-            workers=workers,
-            cache_dir=cache_dir,
-            seed_engines=seed_engines and cache_dir is not None,
-        )
+        self.runner = runner or JobRunner(workers=workers, cache_dir=cache_dir)
         self.max_attempts = max(1, int(max_attempts))
         self.retry_backoff_s = retry_backoff_s
         self.clock = clock or SystemClock()
@@ -400,6 +394,11 @@ class JobDirectoryService:
         return text[: max(1, len(text) // 2)] + "\x00<injected-corruption>"
 
     @staticmethod
+    def _results_text(results: List) -> str:
+        """One file's envelopes as compact JSON, for both attempt paths."""
+        return json.dumps([result.to_dict() for result in results])
+
+    @staticmethod
     def _validated(text: str) -> List[Dict]:
         """Parse a results payload, raising on anything torn or corrupt."""
         try:
@@ -433,7 +432,7 @@ class JobDirectoryService:
         executed_before = self.runner.executed_jobs
         results = self.runner.run_many(jobs)
         executed = self.runner.executed_jobs - executed_before
-        text = json.dumps([result.to_dict() for result in results], indent=2)
+        text = self._results_text(results)
         if action == "corrupt":
             text = self._corrupt(text)
         return text, self._validated(text), executed
@@ -459,7 +458,7 @@ class JobDirectoryService:
                 if action == "hang":
                     time.sleep(injector.hang_s if injector is not None else 3600)
                 results = self.runner.run_many(jobs)
-                text = json.dumps([result.to_dict() for result in results], indent=2)
+                text = self._results_text(results)
                 if action == "corrupt":
                     text = self._corrupt(text)
                 tmp_path.write_text(text)

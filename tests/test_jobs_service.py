@@ -1,16 +1,18 @@
-"""Tests for the job-directory service and cache-seeded engines.
+"""Tests for the job-directory service and store-warmed engines.
 
-Pins the contracts the ISSUE demands:
+Pins these contracts:
 
 * the ``inbox/ -> running/ -> done/|failed/`` lifecycle with per-file
   result envelopes and a rolling ``manifest.jsonl``;
 * crash-safe resume — files stranded in ``running/`` are re-queued;
 * warm/cold equivalence — a ``--once`` serve run over a warm cache is
   bit-identical to the cold run (pinned fingerprints) with zero executions;
-* ROADMAP follow-up (h) — ``JobCache.seed_engine`` /
-  ``MappingEngine.import_results``: a refine or frequency job whose initial
-  mapping an earlier design-flow job computed performs **zero** mapping
-  re-evaluations (asserted on the engine's ``cache_info()`` counters).
+* warm starts through the cache's engine-state store, the only warm-start
+  path: a refine or frequency job whose initial mapping an earlier
+  design-flow job computed performs **zero** mapping re-evaluations
+  (asserted on the engine's ``cache_info()`` counters);
+* lean envelopes — compact JSON with no engine exports — and a cache that
+  treats anything but the key's own envelope as a miss.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ import pytest
 
 from repro import MappingEngine
 from repro.gen import generate_benchmark
+from repro.io.serialization import mapping_fingerprint
 from repro.jobs import (
     DesignFlowJob,
+    EngineStateStore,
     FrequencyJob,
     JobCache,
     JobDirectoryService,
+    JobResult,
     JobRunner,
     RefineJob,
     UseCaseSource,
@@ -199,7 +204,7 @@ def test_warm_serve_run_is_bit_identical_with_zero_executions(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# follow-up (h): engines seeded from the JobCache
+# warm starts through the cache's engine-state store
 # --------------------------------------------------------------------------- #
 def test_refine_job_is_served_from_seeded_engine_without_recomputation(tmp_path):
     cache = tmp_path / "cache"
@@ -210,8 +215,9 @@ def test_refine_job_is_served_from_seeded_engine_without_recomputation(tmp_path)
     assert first.run_once()[0]["status"] == "done"
 
     # a later pass submits a refine job of the same design: it is NOT in the
-    # JobCache (different spec hash), but its initial unified mapping is —
-    # the fresh engine is seeded and performs zero mapping re-evaluations
+    # JobCache (different spec hash), but its initial unified mapping is in
+    # the engine-state store — the fresh engine reads it and performs zero
+    # mapping re-evaluations
     second = JobDirectoryService(tmp_path / "inbox2", cache_dir=cache)
     save_job(RefineJob(use_cases=SPREAD10, iterations=8, seed=0),
              second.inbox / "refine.json")
@@ -226,7 +232,7 @@ def test_refine_job_is_served_from_seeded_engine_without_recomputation(tmp_path)
     assert engine_stats["imported_results"] >= 1
     assert envelope["payload"]["initial_fingerprint"] == SPREAD10_FINGERPRINT
 
-    # seeding is transparent: bit-identical to a cold, unseeded execution
+    # warm starts are transparent: bit-identical to a cold, storeless run
     cold = JobRunner().run(RefineJob(use_cases=SPREAD10, iterations=8, seed=0))
     assert cold.stats["engine"]["result_misses"] == 1
     assert envelope["payload"] == cold.payload
@@ -234,81 +240,182 @@ def test_refine_job_is_served_from_seeded_engine_without_recomputation(tmp_path)
 
 def test_frequency_probe_is_served_from_seeded_engine(tmp_path):
     cache = tmp_path / "cache"
-    runner = JobRunner(cache_dir=cache, seed_engines=True)
+    runner = JobRunner(cache_dir=cache)
     runner.run(DesignFlowJob(use_cases=SPREAD10))
 
     # the probe at the design-flow operating point (the default 500 MHz) is
-    # answered by a with_params sibling of the seeded engine
-    warm = JobRunner(cache_dir=cache, seed_engines=True)
+    # answered by a with_params sibling of the store-attached engine
+    warm = JobRunner(cache_dir=cache)
     result = warm.run(FrequencyJob(use_cases=SPREAD10, frequencies_mhz=(500.0,)))
     assert result.payload["required_frequency_mhz"] == 500.0
     assert result.stats["engine"]["result_misses"] == 0
     assert result.stats["engine"]["result_hits"] >= 1
 
 
-def test_jobcache_seed_engine_hits_for_contained_mapping(tmp_path):
+def test_store_serves_a_contained_mapping_to_a_fresh_engine(tmp_path):
     cache_dir = tmp_path / "cache"
+    # a plain cached runner ingests what its executions computed
     JobRunner(cache_dir=cache_dir).run(DesignFlowJob(use_cases=SPREAD10))
 
     cache = JobCache(cache_dir)
-    assert cache.engine_exports(), "cached envelopes must carry engine exports"
+    assert cache.store.stats()["results"] >= 1
     engine = MappingEngine()
-    assert cache.seed_engine(engine) >= 1
+    engine.attach_store(cache.store)
 
     design = generate_benchmark("spread", 10, seed=3)
     result = engine.map(design)
     info = engine.cache_info()
-    assert info["result_hits"] == 1
-    assert info["result_misses"] == 0
-    from repro.io.serialization import mapping_fingerprint
+    assert (info["result_hits"], info["result_misses"]) == (1, 0)
+    assert info["imported_results"] == 1
     assert mapping_fingerprint(result) == SPREAD10_FINGERPRINT
-    # seeding is idempotent: re-seeding materialises nothing new
-    assert cache.seed_engine(engine) == 0
+    # a second map is an in-memory hit, not a second store read
+    engine.map(design)
+    assert engine.cache_info()["imported_results"] == 1
 
 
-def test_import_results_skips_other_operating_points_until_sibling_matches():
+def test_store_results_skip_other_operating_points_until_sibling_matches(tmp_path):
     base = MappingEngine()
     design = generate_benchmark("spread", 5, seed=3)
     computed = base.map(design)
-    exported = base.export_results()
+    store = EngineStateStore(tmp_path / "store")
+    assert store.ingest(base.export_results())["results"] == 1
 
     other = MappingEngine(params=base.params.with_frequency(1e9))
-    assert other.import_results(exported) == 0  # wrong operating point
-    assert other.cache_info()["results"] == 0
-    # ...but the entry is retained for siblings at the matching point, and
-    # materialised lazily the moment a map() call asks for it
+    other.attach_store(store)
+    other.map(design)  # wrong operating point: the store cannot answer it
+    assert other.cache_info()["result_misses"] == 1
+    assert other.cache_info()["imported_results"] == 0
+    # ...but a with_params sibling at the matching point inherits the store
+    # and reads the entry lazily the moment a map() call asks for it
     sibling = other.with_params(params=base.params)
-    from repro.io.serialization import mapping_fingerprint
     assert mapping_fingerprint(sibling.map(design)) == mapping_fingerprint(computed)
+    # (counters are shared with the sibling: only the import was added)
     assert sibling.cache_info()["imported_results"] == 1
-    assert sibling.cache_info()["result_misses"] == 0
+    assert sibling.cache_info()["result_misses"] == 1
 
     # malformed entries are skipped silently
-    assert base.import_results([{"junk": True}, 7, {"spec_hash": "x"}]) == 0
+    assert store.ingest([{"junk": True}, 7, {"spec_hash": "x"}])["results"] == 0
 
 
 def test_seeded_envelopes_do_not_reexport_the_seed_corpus(tmp_path):
-    """A seeded engine exports only what it computed, so the cache's seed
-    corpus stays proportional to distinct mappings, not O(jobs^2)."""
+    """A store-warmed engine exports only what it computed, so the store
+    stays proportional to distinct mappings, not O(jobs^2)."""
     cache_dir = tmp_path / "cache"
-    runner = JobRunner(cache_dir=cache_dir, seed_engines=True)
-    flow = runner.run(DesignFlowJob(use_cases=SPREAD10))
-    assert len(flow.engine_results) == 1
+    JobRunner(cache_dir=cache_dir).run(DesignFlowJob(use_cases=SPREAD10))
+    store = JobCache(cache_dir).store
+    assert store.stats()["results"] == 1
 
-    warm = JobRunner(cache_dir=cache_dir, seed_engines=True)
+    warm = JobRunner(cache_dir=cache_dir)
     refine = warm.run(RefineJob(use_cases=SPREAD10, iterations=8, seed=0))
     assert refine.stats["engine"]["imported_results"] >= 1
-    # the imported initial mapping is not echoed back into the envelope
-    assert refine.engine_results == []
-    # ...so the store-wide corpus still holds exactly one mapping
-    assert len(JobCache(cache_dir).engine_exports()) == 1
+    # the imported initial mapping is not ingested again...
+    assert store.stats()["results"] == 1
+    # ...and envelopes carry no engine state at all
+    assert "engine_results" not in refine.to_dict()
 
 
 def test_envelopes_without_a_cache_skip_engine_exports():
-    # nothing will ever consume them, so --out files and memory stay lean
     result = JobRunner().run(WorstCaseJob(use_cases=SPREAD3))
-    assert result.engine_results == []
+    assert "engine_results" not in result.to_dict()
     assert result.payload["mapped"] is True
+
+
+# --------------------------------------------------------------------------- #
+# lean envelopes and what the cache accepts as one
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("job_timeout_s", [None, 60.0], ids=["in-process", "isolated"])
+def test_envelopes_and_results_files_are_lean_compact_json(tmp_path, job_timeout_s):
+    inbox = tmp_path / "inbox"
+    service = JobDirectoryService(inbox, cache_dir=tmp_path / "cache",
+                                  job_timeout_s=job_timeout_s)
+    save_job(WorstCaseJob(use_cases=SPREAD3), inbox / "a_cold.json")
+    save_job(WorstCaseJob(use_cases=SPREAD3), inbox / "b_hit.json")
+    cold, hit = service.run_once()
+    assert (cold["cached"], hit["cached"]) == (0, 1)
+
+    stored = service.runner.cache.path_for(cold["spec_hashes"][0]).read_text()
+    assert "\n" not in stored  # compact: written without indentation
+    envelope = json.loads(stored)
+    assert "engine_results" not in envelope
+    for record in (cold, hit):
+        text = (inbox / record["results"]).read_text()
+        assert "\n" not in text
+        assert all("engine_results" not in entry for entry in json.loads(text))
+    # default separators keep the marker greppable in a hit's results file
+    assert '"cached": true' in (inbox / hit["results"]).read_text()
+
+    # an envelope written before the store was the only warm-start path
+    # still carries its engine exports; it loads all the same
+    legacy = dict(envelope, engine_results=[{"spec_hash": "x", "result": {}}])
+    assert JobResult.from_dict(legacy).to_dict() == envelope
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda envelope: [],
+        lambda envelope: "text",
+        lambda envelope: {"payload": {}},
+        lambda envelope: dict(envelope, spec_hash="0" * 64),
+    ],
+    ids=["list", "string", "no-kind", "another-key"],
+)
+def test_cache_entry_that_is_not_the_keys_envelope_is_a_miss(
+    tmp_path, fake_clock, corrupt
+):
+    inbox = tmp_path / "inbox"
+    service = JobDirectoryService(inbox, cache_dir=tmp_path / "cache",
+                                  clock=fake_clock)
+    save_job(WorstCaseJob(use_cases=SPREAD3), inbox / "first.json")
+    key = service.run_once()[0]["spec_hashes"][0]
+    cache = service.runner.cache
+    entry = cache.path_for(key)
+    entry.write_text(json.dumps(corrupt(json.loads(entry.read_text()))))
+
+    save_job(WorstCaseJob(use_cases=SPREAD3), inbox / "again.json")
+    record = service.run_once()[0]
+    # recomputed on the first attempt, never retried into quarantine
+    assert record["status"] == "done" and record["attempts"] == 1
+    assert (record["executed"], record["cached"]) == (1, 0)
+    assert (cache.hits, cache.misses) == (0, 2)
+    # ...and the entry was overwritten with the key's own envelope
+    assert cache.get(key)["spec_hash"] == key
+
+
+# --------------------------------------------------------------------------- #
+# legacy envelope folding
+# --------------------------------------------------------------------------- #
+def _spy_reads(monkeypatch, cache):
+    """Record the file name of every envelope read ``cache`` makes."""
+    reads = []
+
+    def spy(path):
+        reads.append(path.name)
+        return JobCache._read(path)
+
+    monkeypatch.setattr(cache, "_read", spy)
+    return reads
+
+
+def test_later_drains_do_not_reread_the_runners_own_envelopes(tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    runner = JobRunner(cache_dir=cache_dir)
+    worst = runner.run(WorstCaseJob(use_cases=SPREAD3))
+    reads = _spy_reads(monkeypatch, runner.cache)
+
+    # two more drains with pending work, so sync_store runs on each
+    flow = runner.run(DesignFlowJob(use_cases=SPREAD3))
+    refine = runner.run(RefineJob(use_cases=SPREAD3, iterations=2, seed=0))
+    # each drain only probed its own (missing) key: the envelopes this
+    # runner put were never parsed again
+    assert reads == [f"{flow.spec_hash}.json", f"{refine.spec_hash}.json"]
+
+    # a second runner sees them as a foreign writer's and folds each once
+    other = JobRunner(cache_dir=cache_dir)
+    other_reads = _spy_reads(monkeypatch, other.cache)
+    other.run(WorstCaseJob(use_cases=SPREAD10))
+    own = {f"{result.spec_hash}.json" for result in (worst, flow, refine)}
+    assert own <= set(other_reads)
 
 
 def test_recovery_runs_once_per_instance_not_every_drain(tmp_path):

@@ -9,8 +9,8 @@ Pins the ISSUE 5 contracts:
 * concurrent writers (processes sharing a store) don't collide or lose
   whole-batch appends;
 * eviction/compaction keeps a context bounded by ``max_context_entries``;
-* ``MappingEngine.export_evaluations()`` / ``import_evaluations()`` with
-  the lazy-index, never-re-export discipline;
+* ``MappingEngine.export_evaluations()`` / ``import_evaluations()`` and
+  the store round trip with the lazy-index, never-re-export discipline;
 * the headline acceptance: a warm ``RefineJob`` against a store populated
   by its design-flow/refine siblings performs **zero** fixed-placement
   re-evaluations for previously-seen candidates (``evaluation_misses == 0``
@@ -223,7 +223,7 @@ def _refined(engine, design, refiner):
     return refiner.refine(initial, design, engine=engine)
 
 
-def test_export_import_evaluations_round_trip_bit_identical():
+def test_export_import_evaluations_round_trip_bit_identical(tmp_path):
     design = generate_benchmark("spread", 10, seed=3)
     cold = MappingEngine()
     refiner = AnnealingRefiner(iterations=8, seed=0)
@@ -235,9 +235,12 @@ def test_export_import_evaluations_round_trip_bit_identical():
     assert document["params"] == cold.params.to_dict()
     assert {"groups", "topology", "config", "entries"} <= set(document)
 
+    store = EngineStateStore(tmp_path / "store")
+    assert store.ingest(cold.export_results(), exported) == {
+        "results": 1, "evaluations": len(document["entries"]),
+    }
     warm = MappingEngine()
-    assert warm.import_evaluations(exported) == len(document["entries"])
-    warm.import_results(cold.export_results())
+    warm.attach_store(store)
     warm_outcome = _refined(warm, design, refiner)
     info = warm.cache_info()
     assert info["evaluation_misses"] == 0
@@ -247,11 +250,13 @@ def test_export_import_evaluations_round_trip_bit_identical():
     assert warm_outcome.accepted_moves == cold_outcome.accepted_moves
     assert mapping_fingerprint(warm_outcome.refined) == \
         mapping_fingerprint(cold_outcome.refined)
-    # never-re-export: the warm engine exports nothing it merely imported
+    # never-re-export: the warm engine exports nothing it merely read
     assert warm.export_evaluations() == []
     assert warm.export_results() == []
-    # importing the same entries again indexes nothing new
-    assert warm.import_evaluations(exported) == 0
+    # ingesting the same entries again writes nothing new
+    assert store.ingest(cold.export_results(), exported) == {
+        "results": 0, "evaluations": 0,
+    }
 
 
 def test_import_evaluations_skips_other_operating_points():
@@ -308,7 +313,7 @@ def test_warm_refine_job_performs_zero_candidate_reevaluations(tmp_path):
     cache = tmp_path / "cache"
 
     # a design-flow job and a longer refine sibling populate the store
-    cold_runner = JobRunner(cache_dir=cache, seed_engines=True)
+    cold_runner = JobRunner(cache_dir=cache)
     cold_runner.run(DesignFlowJob(use_cases=SPREAD10))
     cold_refine = cold_runner.run(RefineJob(use_cases=SPREAD10, iterations=12, seed=0))
     assert cold_refine.stats["engine"]["evaluation_misses"] > 0
@@ -316,7 +321,9 @@ def test_warm_refine_job_performs_zero_candidate_reevaluations(tmp_path):
     # a *shorter* refine sibling (distinct job hash, so not a JobCache hit)
     # walks a strict prefix of the longer run's candidates: every candidate
     # was previously seen, so the warm engine re-evaluates none of them
-    warm_runner = JobRunner(cache_dir=cache, seed_engines=True)
+    store = cold_runner.cache.store
+    before = store.stats()
+    warm_runner = JobRunner(cache_dir=cache)
     warm = warm_runner.run(RefineJob(use_cases=SPREAD10, iterations=6, seed=0))
     assert warm.cached is False and warm_runner.executed_jobs == 1
     stats = warm.stats["engine"]
@@ -329,19 +336,19 @@ def test_warm_refine_job_performs_zero_candidate_reevaluations(tmp_path):
     cold = JobRunner().run(RefineJob(use_cases=SPREAD10, iterations=6, seed=0))
     assert warm.payload == cold.payload
     assert warm.payload["initial_fingerprint"] == SPREAD10_FINGERPRINT
-    # and the store-fed envelope does not re-export the imported corpus
-    assert warm.engine_results == []
+    # and the store-fed execution does not re-export what it read
+    assert store.stats() == before
 
 
 def test_warm_refine_job_over_the_worker_pool(tmp_path):
     cache = tmp_path / "cache"
-    runner = JobRunner(cache_dir=cache, seed_engines=True, workers=2)
+    runner = JobRunner(cache_dir=cache, workers=2)
     runner.run_many([
         DesignFlowJob(use_cases=SPREAD3),
         RefineJob(use_cases=SPREAD3, iterations=8, seed=0),
     ])
 
-    warm = JobRunner(cache_dir=cache, seed_engines=True, workers=2)
+    warm = JobRunner(cache_dir=cache, workers=2)
     result = warm.run_many([RefineJob(use_cases=SPREAD3, iterations=4, seed=0)])[0]
     stats = result.stats["engine"]
     assert stats["evaluation_misses"] == 0
@@ -352,29 +359,36 @@ def test_warm_refine_job_over_the_worker_pool(tmp_path):
 
 def test_jobcache_delegates_seed_corpus_to_store(tmp_path):
     cache_dir = tmp_path / "cache"
-    JobRunner(cache_dir=cache_dir, seed_engines=True).run(
-        WorstCaseJob(use_cases=SPREAD3)
-    )
+    JobRunner(cache_dir=cache_dir).run(WorstCaseJob(use_cases=SPREAD3))
     cache = JobCache(cache_dir)
     assert cache.store.directory == cache_dir / "engine-state"
     assert cache.store.stats()["results"] >= 1
-    # seed_engine attaches the store: a fresh engine reads from it keyed
-    engine = MappingEngine()
-    cache.seed_engine(engine)
-    assert engine._store is not None
-    # sync_store is idempotent (envelope exports already ingested)
-    synced = cache.sync_store()
-    assert synced["results"] == 0
+    # lean envelopes carry no engine exports: there is nothing to fold
+    assert cache.sync_store() == {"results": 0, "evaluations": 0}
 
 
 def test_sync_store_folds_legacy_envelopes_into_the_store(tmp_path):
-    cache_dir = tmp_path / "cache"
-    # a writer with seeding off stores envelopes but never touches the store
-    JobRunner(cache_dir=cache_dir).run(WorstCaseJob(use_cases=SPREAD3))
-    cache = JobCache(cache_dir)
+    cache = JobCache(tmp_path / "cache")
+    # an envelope written before the store was the only warm-start path
+    # carries its engine's exported results inline
+    engine = MappingEngine()
+    engine.map(generate_benchmark("spread", 3, core_count=12, seed=1))
+    key = "f" * 64
+    cache.path_for(key).write_text(json.dumps({
+        "kind": "worst_case", "spec_hash": key, "payload": {"mapped": True},
+        "engine_results": engine.export_results(),
+    }, indent=2))
     assert cache.store.stats()["results"] == 0
-    assert cache.sync_store()["results"] == 1
+
+    seen = set()
+    assert cache.sync_store(seen=seen)["results"] == 1
     assert cache.store.stats()["results"] == 1
+    assert seen == {f"{key}.json"}
+    # idempotent, and incremental: a seen envelope is not even re-read
+    assert cache.sync_store(seen=seen)["results"] == 0
+    assert cache.sync_store()["results"] == 0
+    # the legacy envelope is still a valid cache entry
+    assert cache.get(key)["engine_results"]
 
 
 # --------------------------------------------------------------------------- #
