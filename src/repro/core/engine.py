@@ -29,8 +29,8 @@ warm-start every execution from what sibling runs already computed
 (:meth:`cache_info` documents the counters that prove it).
 
 Everything the engine returns is bit-identical to driving
-:class:`UnifiedMapper` directly — caches (including imported and
-store-read state) only ever short-circuit deterministic recomputation.
+:class:`UnifiedMapper` directly — caches (including store-read state) only
+ever short-circuit deterministic recomputation.
 """
 
 from __future__ import annotations
@@ -38,14 +38,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.core.mapping import (
-    GroupRequirement,
-    GroupSpec,
-    PairPlacement,
-    UnifiedMapper,
-    _Worklist,
-)
-from repro.core.result import MappingResult, UseCaseConfiguration
+from repro.core.mapping import GroupRequirement, GroupSpec, UnifiedMapper, _Worklist
+from repro.core.result import FlowAllocation, MappingResult, UseCaseConfiguration
 from repro.core.spec import CompiledSpec, compile_spec
 from repro.core.switching import SwitchingGraph
 from repro.core.usecase import UseCaseSet
@@ -58,7 +52,7 @@ __all__ = ["MappingEngine"]
 
 SpecLike = Union[UseCaseSet, CompiledSpec]
 
-#: sentinel distinguishing "no seed entry" from a cached infeasibility (None)
+#: sentinel distinguishing "nothing stored" from a stored infeasibility (None)
 _MISSING = object()
 
 
@@ -112,19 +106,18 @@ class _RequirementBundle:
         }
 
 
-def _outcome_to_doc(outcome: Optional[List[PairPlacement]]) -> Optional[str]:
+def _outcome_to_doc(
+    pairs: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]
+) -> Optional[str]:
     """Serialise one cached group evaluation (``None`` = cached infeasibility).
 
     Only the mapper's irreducible *decisions* are stored — the switch path
-    and the starting TDMA slots of each aggregated pair.  Everything else a
-    :class:`PairPlacement` carries is derivable: ``evaluate_group_fixed``
-    emits exactly one entry per plan item, in plan order, with the plan's
-    own member records and ``cost_terms = bandwidth × hops`` over them, and
-    the Æthereal pipelined slot assignment is the per-hop rotation of the
-    starting slots along the path (``ResourceState._plan``'s construction) —
-    so the import side reattaches members from the live bundle and
-    recomputes terms and per-link slots bit-identically instead of
-    round-tripping them.
+    and the starting TDMA slots of each aggregated pair, exactly what
+    :meth:`UnifiedMapper.evaluate_group_fixed` returns.  Everything else is
+    derivable: there is one pair per plan item, in plan order, so the import
+    side reattaches members from the live bundle, and recomputes cost terms
+    (``bandwidth × hops``) and per-link slots (the per-hop rotation of the
+    starting slots) bit-identically instead of round-tripping them.
 
     The whole outcome packs into **one string** — ``;``-separated pair
     segments of ``path:starts`` dot-separated ints (e.g.
@@ -132,18 +125,12 @@ def _outcome_to_doc(outcome: Optional[List[PairPlacement]]) -> Optional[str]:
     a few hundred JSON strings instead of hundreds of thousands of number
     tokens; :func:`_parse_outcome_doc` unpacks it with C-speed splits.
     """
-    if outcome is None:
+    if pairs is None:
         return None
-    segments = []
-    for entry in outcome:
-        path = entry.switch_path
-        starts: Tuple[int, ...] = ()
-        if entry.link_slots:
-            starts = entry.link_slots[(path[0], path[1])]
-        segments.append(
-            ".".join(map(str, path)) + ":" + ".".join(map(str, starts))
-        )
-    return ";".join(segments)
+    return ";".join(
+        ".".join(map(str, path)) + ":" + ".".join(map(str, starts))
+        for path, starts in pairs
+    )
 
 
 def _parse_outcome_doc(
@@ -190,66 +177,27 @@ def _rotated_slots(
     return assignment
 
 
-def _outcome_from_pairs(
-    pairs: List[Tuple[Tuple[int, ...], Tuple[int, ...]]],
-    plan: List,
-    slot_table_size: int,
-) -> List[PairPlacement]:
-    """Rebuild one group evaluation against its bundle's plan (see above).
-
-    ``pairs`` is :func:`_parse_outcome_doc` output (already validated
-    against the plan length); ``plan`` is the bundle's ``group_plans``
-    slice for the group — members are taken from it by position (they are
-    the *same* objects a cold evaluation would use) and cost terms /
-    per-link slots are recomputed with the exact operations the cold path
-    performs.
-    """
-    outcome: List[PairPlacement] = []
-    for (path, starts), (_pair_req, members) in zip(pairs, plan):
-        hops = len(path) - 1
-        outcome.append(
-            PairPlacement(
-                members=members,
-                switch_path=path,
-                link_slots=_rotated_slots(path, starts, slot_table_size),
-                cost_terms=tuple(flow.bandwidth * hops for _name, flow in members),
-            )
-        )
-    return outcome
-
-
 class _GroupOutcome:
-    """One group's feasible fixed-placement evaluation, possibly imported.
+    """One group's feasible fixed-placement evaluation, as kernel decisions.
 
-    Wraps either the eagerly computed :class:`PairPlacement` list (a cold
-    evaluation) or the serialised document plus its bundle plan (an imported
-    one).  Imported entries stay documents until something actually needs
-    the live objects — the refiners *screen* hundreds of candidates through
+    Holds the ``(switch path, starting slots)`` pairs that
+    :meth:`UnifiedMapper.evaluate_group_fixed` returns and the store keeps,
+    plus the bundle plan they answer; everything else is derived from the
+    plan on demand.  The refiners *screen* hundreds of candidates through
     :meth:`MappingEngine.placement_cost`, which only needs the per-use-case
-    cost sums :meth:`name_sums` derives with plain float arithmetic, and
-    *materialise* only accepted moves (:attr:`entries`).
-
-    ``name_sums`` is memoised per outcome, so revisited candidates skip the
-    accumulation entirely — computed and imported evaluations alike.
+    cost sums of :meth:`name_sums`, and *materialise* only accepted moves
+    (:meth:`allocations`).  Both are memoised per outcome, so revisited
+    candidates skip the work entirely.
     """
 
-    __slots__ = ("_entries", "_doc", "_plan", "_size", "_sums")
+    __slots__ = ("pairs", "_plan", "_size", "_sums", "_allocations")
 
-    def __init__(self, entries=None, doc=None, plan=None, size=0):
-        self._entries = entries
-        self._doc = doc
+    def __init__(self, pairs, plan, size) -> None:
+        self.pairs = pairs
         self._plan = plan
         self._size = size
         self._sums = None
-
-    @property
-    def entries(self) -> List[PairPlacement]:
-        """The live placement list (imported documents rebuild on first use)."""
-        cached = self._entries
-        if cached is None:
-            cached = _outcome_from_pairs(self._doc, self._plan, self._size)
-            self._entries = cached
-        return cached
+        self._allocations = None
 
     def name_sums(self, member_names) -> Tuple[float, ...]:
         """Per-member-use-case cost sums, in ``member_names`` order.
@@ -260,29 +208,45 @@ class _GroupOutcome:
         interleaved global walk performed precisely these additions for it).
         """
         cached = self._sums
-        if cached is not None:
-            return cached
-        sums: Dict[str, float] = {name: 0 for name in member_names}
-        entries = self._entries
-        if entries is not None:
-            for entry in entries:
-                terms = entry.cost_terms
-                members = entry.members
-                for position in range(len(terms)):
-                    name = members[position][0]
-                    sums[name] = sums[name] + terms[position]
-        else:
-            # Imported document: the terms are bandwidth × hops over the
-            # plan's member flows — same floats the cold path produces,
-            # without building any PairPlacement.
-            for (path, _starts), (_pair_req, members) in zip(
-                self._doc, self._plan
-            ):
+        if cached is None:
+            sums: Dict[str, float] = {name: 0 for name in member_names}
+            for (path, _starts), (_pair_req, members) in zip(self.pairs, self._plan):
                 hops = len(path) - 1
                 for name, flow in members:
                     sums[name] = sums[name] + flow.bandwidth * hops
-        cached = tuple(sums[name] for name in member_names)
-        self._sums = cached
+            cached = tuple(sums[name] for name in member_names)
+            self._sums = cached
+        return cached
+
+    def allocations(self) -> List[Tuple[Tuple[str, FlowAllocation, float], ...]]:
+        """Per plan item: its (member name, allocation, cost term) records.
+
+        Built on first use and memoised.  Members are the plan's own flow
+        records, per-link slots are :func:`_rotated_slots` of the starts,
+        and each cost term is ``bandwidth × hops`` — the floats
+        :meth:`name_sums` adds.
+        """
+        cached = self._allocations
+        if cached is None:
+            size = self._size
+            cached = []
+            for (path, starts), (_pair_req, members) in zip(self.pairs, self._plan):
+                hops = len(path) - 1
+                link_slots = _rotated_slots(path, starts, size)
+                cached.append(tuple(
+                    (
+                        name,
+                        FlowAllocation(
+                            use_case=name,
+                            flow=flow,
+                            switch_path=path,
+                            link_slots=dict(link_slots),
+                        ),
+                        flow.bandwidth * hops,
+                    )
+                    for name, flow in members
+                ))
+            self._allocations = cached
         return cached
 
 
@@ -330,15 +294,12 @@ class MappingEngine:
         #: than computed here; export_results skips them so a store-warmed
         #: engine never re-exports (and thereby snowballs) what it was fed
         self._imported_keys: set = set()
-        #: exported-evaluation documents offered via import_evaluations;
-        #: shared by reference with with_params siblings so operating-point
-        #: probes can index the entries that match *their* params
-        self._seed_eval_docs: List[Dict] = []
-        #: serialisable evaluation key -> raw outcome document, for entries
-        #: matching this engine's operating point; consulted (and drained)
-        #: on evaluation-cache misses
-        self._eval_seed_index: Dict = {}
-        #: evaluation keys that were materialised from imports; skipped by
+        #: serialisable evaluation key -> raw outcome document, for stored
+        #: entries of the contexts loaded from the attached store at this
+        #: engine's operating point; consulted (and drained) on
+        #: evaluation-cache misses
+        self._store_index: Dict = {}
+        #: evaluation keys that were materialised from the store; skipped by
         #: export_evaluations (never-re-export, like ``_imported_keys``)
         self._imported_eval_keys: set = set()
         #: optional EngineStateStore consulted directly on result and
@@ -434,9 +395,6 @@ class MappingEngine:
         sibling._bundles = self._bundles
         sibling._worst_specs = self._worst_specs
         sibling._counters = self._counters
-        sibling._seed_eval_docs = self._seed_eval_docs
-        if self._seed_eval_docs:
-            sibling._index_eval_seeds(self._seed_eval_docs)
         sibling._store = self._store
         sibling._topology_docs = self._topology_docs
         return sibling
@@ -539,44 +497,90 @@ class MappingEngine:
     # ------------------------------------------------------------------ #
     # fixed-placement evaluation (the refinement hot path)
     # ------------------------------------------------------------------ #
-    def _evaluate_groups(
-        self,
-        bundle: _RequirementBundle,
-        topology: Topology,
-        placement: Mapping[str, int],
-        only: Optional[FrozenSet[int]] = None,
-    ) -> Dict[int, List]:
-        """Evaluate (or recall) every group under a complete placement.
+    def _placement_fault(
+        self, topology: Topology, placement: Mapping[str, int]
+    ) -> Optional[str]:
+        """Why a placement is invalid on a topology, or ``None`` if it is valid.
 
-        Validates the placement globally (switch indices exist, switches are
-        alive, per-switch core limit holds — mirroring the checks the
-        per-state attachments perform in the general path), then evaluates
-        each group against the memoised (group, endpoint-placement) cache.
-        ``only`` restricts evaluation to a subset of group ids — the repair
-        path evaluates just the failure-affected groups and splices the
-        untouched groups' baseline allocations back in.  Raises
-        :class:`MappingError` when the placement or any evaluated group is
-        infeasible.
+        The global checks the per-state attachments of the general path
+        perform: switch indices exist (an unknown index raises through
+        ``topology.switch``), switches are alive, and the per-switch core
+        limit holds.
         """
         limit = self.params.max_cores_per_switch
         occupancy: Dict[int, int] = {}
         for core, switch in placement.items():
             topology.switch(switch)
             if topology.is_switch_down(switch):
-                raise MappingError(
+                return (
                     f"placement puts core {core!r} on failed switch {switch} "
-                    f"of {topology.name!r}",
-                    largest_topology=topology.name,
+                    f"of {topology.name!r}"
                 )
             occupancy[switch] = occupancy.get(switch, 0) + 1
             if limit is not None and occupancy[switch] > limit:
-                raise MappingError(
-                    f"placement is infeasible on topology {topology.name!r}",
-                    largest_topology=topology.name,
-                )
+                return f"placement is infeasible on topology {topology.name!r}"
+        return None
 
-        core_names = bundle.spec_core_names
+    def _group_outcome(
+        self,
+        bundle: _RequirementBundle,
+        topology: Topology,
+        group_id: int,
+        projection: Tuple[int, ...],
+        placement: Mapping[str, int],
+    ) -> Tuple[Optional[_GroupOutcome], bool]:
+        """Recall or compute one group's evaluation under a complete placement.
+
+        Tries the in-memory evaluation cache, then the attached store, then
+        :meth:`UnifiedMapper.evaluate_group_fixed`, and caches the answer
+        under the group's endpoint ``projection`` (``None`` is a cached
+        infeasibility).  Returns the outcome and whether it was computed.
+        """
+        key = (id(bundle), id(topology), group_id, projection)
         evals = self._group_evals
+        entry = evals.get(key)
+        if entry is not None and entry[0] is bundle and entry[1] is topology:
+            evals.move_to_end(key)
+            self._counters["evaluation_hits"] += 1
+            return entry[2], False
+        plan = bundle.group_plans[group_id]
+        pairs = self._stored_pairs(bundle, topology, group_id, projection)
+        computed = pairs is _MISSING
+        if computed:
+            self._counters["evaluation_misses"] += 1
+            pairs = self.mapper.evaluate_group_fixed(topology, plan, placement)
+        else:
+            self._counters["evaluation_hits"] += 1
+            self._counters["imported_evaluations"] += 1
+        outcome = None if pairs is None else _GroupOutcome(
+            pairs, plan, self.params.slot_table_size
+        )
+        evals[key] = (bundle, topology, outcome)
+        if len(evals) > self._EVAL_CACHE_SIZE:
+            evals.popitem(last=False)
+        return outcome, computed
+
+    def _evaluate_groups(
+        self,
+        bundle: _RequirementBundle,
+        topology: Topology,
+        placement: Mapping[str, int],
+        only: Optional[FrozenSet[int]] = None,
+    ) -> Dict[int, _GroupOutcome]:
+        """Evaluate (or recall) every group under a complete placement.
+
+        Validates the placement globally (:meth:`_placement_fault`), then
+        recalls or computes each group through :meth:`_group_outcome`.
+        ``only`` restricts evaluation to a subset of group ids — the repair
+        path evaluates just the failure-affected groups and splices the
+        untouched groups' baseline allocations back in.  Raises
+        :class:`MappingError` when the placement or any evaluated group is
+        infeasible.
+        """
+        fault = self._placement_fault(topology, placement)
+        if fault is not None:
+            raise MappingError(fault, largest_topology=topology.name)
+        core_names = bundle.spec_core_names
         outcomes: Dict[int, _GroupOutcome] = {}
         for requirement in bundle.requirements:
             group_id = requirement.group_id
@@ -586,36 +590,9 @@ class MappingEngine:
                 placement[core_names[index]]
                 for index in bundle.group_endpoints[group_id]
             )
-            key = (id(bundle), id(topology), group_id, projection)
-            entry = evals.get(key)
-            if entry is not None and entry[0] is bundle and entry[1] is topology:
-                evals.move_to_end(key)
-                self._counters["evaluation_hits"] += 1
-                outcome = entry[2]
-            else:
-                imported = self._imported_evaluation(
-                    bundle, topology, group_id, projection
-                )
-                if imported is not None:
-                    self._counters["evaluation_hits"] += 1
-                    self._counters["imported_evaluations"] += 1
-                    pairs = imported[0]
-                    outcome = None if pairs is None else _GroupOutcome(
-                        doc=pairs,
-                        plan=bundle.group_plans[group_id],
-                        size=self.params.slot_table_size,
-                    )
-                else:
-                    self._counters["evaluation_misses"] += 1
-                    computed = self.mapper.evaluate_group_fixed(
-                        topology, group_id, bundle.group_plans[group_id], placement
-                    )
-                    outcome = None if computed is None else _GroupOutcome(
-                        entries=computed
-                    )
-                evals[key] = (bundle, topology, outcome)
-                if len(evals) > self._EVAL_CACHE_SIZE:
-                    evals.popitem(last=False)
+            outcome, _computed = self._group_outcome(
+                bundle, topology, group_id, projection, placement
+            )
             if outcome is None:
                 raise MappingError(
                     f"placement is infeasible on topology {topology.name!r}",
@@ -679,9 +656,9 @@ class MappingEngine:
         The batch entry point of the refinement hot path: the returned
         screen is bound to this engine plus the compiled (spec, grouping)
         bundle and topology, answers exact candidate costs through the same
-        cache hierarchy as :meth:`placement_cost` (its kernel evaluations
-        are admitted to the evaluation cache, so exports, warm starts and
-        the final :meth:`evaluate_placement` are unchanged), and batches
+        recall-or-compute path as :meth:`placement_cost`
+        (:meth:`_group_outcome`, so exports, warm starts and the final
+        :meth:`evaluate_placement` are unchanged), and batches
         admissibility/lower-bound screening over whole neighbour sets.
         ``screen_hits`` / ``screen_misses`` in :meth:`cache_info` account
         for its traffic.
@@ -693,114 +670,43 @@ class MappingEngine:
         bundle = self.requirements_for(spec, resolved)
         return CandidateScreen(self, spec, resolved, bundle, topology)
 
-    def _recall_group_outcome(
-        self,
-        bundle: _RequirementBundle,
-        topology: Topology,
-        group_id: int,
-        projection: Tuple[int, ...],
-    ) -> Tuple[bool, Optional[_GroupOutcome]]:
-        """Recall one group evaluation without computing it.
-
-        The recall half of :meth:`_evaluate_groups`'s per-requirement body,
-        for the screening layer: consult the in-memory evaluation cache,
-        then the imported-evaluation index / attached store, with exactly
-        the counter increments the unscreened path performs.  Returns
-        ``(True, outcome)`` on a hit (``outcome is None`` is a recalled
-        infeasibility) and ``(False, None)`` when the key has never been
-        evaluated — the screen's kernel computes it then.
-        """
-        key = (id(bundle), id(topology), group_id, projection)
-        evals = self._group_evals
-        entry = evals.get(key)
-        if entry is not None and entry[0] is bundle and entry[1] is topology:
-            evals.move_to_end(key)
-            self._counters["evaluation_hits"] += 1
-            return True, entry[2]
-        imported = self._imported_evaluation(bundle, topology, group_id, projection)
-        if imported is None:
-            return False, None
-        self._counters["evaluation_hits"] += 1
-        self._counters["imported_evaluations"] += 1
-        pairs = imported[0]
-        outcome = None if pairs is None else _GroupOutcome(
-            doc=pairs,
-            plan=bundle.group_plans[group_id],
-            size=self.params.slot_table_size,
-        )
-        evals[key] = (bundle, topology, outcome)
-        if len(evals) > self._EVAL_CACHE_SIZE:
-            evals.popitem(last=False)
-        return True, outcome
-
-    def _admit_screened_outcome(
-        self,
-        bundle: _RequirementBundle,
-        topology: Topology,
-        group_id: int,
-        projection: Tuple[int, ...],
-        pairs: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]],
-    ) -> Optional[_GroupOutcome]:
-        """Admit one screening-kernel evaluation to the evaluation cache.
-
-        ``pairs`` is the kernel's serialised ``(path, starts)`` decision
-        list (``None`` = infeasible) — the exact shape imported documents
-        parse to, so the cached outcome materialises, exports and costs
-        bit-identically to a :meth:`_evaluate_groups` computation of the
-        same key.  A kernel evaluation *is* a computed evaluation, so it
-        counts as an ``evaluation_miss`` (and as a ``screen_miss``, its
-        screening-layer attribution).
-        """
-        self._counters["evaluation_misses"] += 1
-        self._counters["screen_misses"] += 1
-        outcome = None if pairs is None else _GroupOutcome(
-            doc=pairs,
-            plan=bundle.group_plans[group_id],
-            size=self.params.slot_table_size,
-        )
-        evals = self._group_evals
-        evals[(id(bundle), id(topology), group_id, projection)] = (
-            bundle, topology, outcome,
-        )
-        if len(evals) > self._EVAL_CACHE_SIZE:
-            evals.popitem(last=False)
-        return outcome
-
     @staticmethod
     def _walk_outcomes(
         bundle: _RequirementBundle,
         outcomes: Mapping[int, _GroupOutcome],
-        configurations: Dict[str, UseCaseConfiguration],
-    ) -> Tuple[float, Dict[str, UseCaseConfiguration]]:
-        """Walk group outcomes in the exact global allocation order.
+    ) -> Tuple[Dict[str, UseCaseConfiguration], Dict[str, float]]:
+        """Materialise the groups in ``outcomes`` in the global allocation order.
 
-        The assembly loop behind :meth:`evaluate_placement`: per-use-case
-        cost sums build up in the order the monolithic path records
-        allocations (float addition order is part of the bit-identical
-        contract) while the allocations are materialised into
-        ``configurations``.  Imported outcomes rebuild their live entries
-        here — only *accepted* candidates ever reach this walk.
-        Returns the total communication cost and the configurations map.
+        The assembly loop behind :meth:`evaluate_placement` and the repair
+        splice: allocations are recorded, and per-use-case cost sums build
+        up, in the order the general path records allocations (float
+        addition order is part of the bit-identical contract).  Groups
+        absent from ``outcomes`` are skipped.  Returns the configurations and
+        the cost sums of the walked groups' use cases — only *accepted*
+        candidates ever reach this walk.
         """
+        configurations: Dict[str, UseCaseConfiguration] = {}
         cost_sums: Dict[str, float] = {}
         for requirement in bundle.requirements:
-            for name in requirement.member_names:
-                cost_sums[name] = 0
-                configurations[name] = UseCaseConfiguration(
-                    name, requirement.group_id
-                )
-        entry_lists = {gid: outcome.entries for gid, outcome in outcomes.items()}
-        cursor: Dict[int, int] = {gid: 0 for gid in outcomes}
+            if requirement.group_id in outcomes:
+                for name in requirement.member_names:
+                    cost_sums[name] = 0
+                    configurations[name] = UseCaseConfiguration(
+                        name, requirement.group_id
+                    )
+        records = {gid: outcome.allocations() for gid, outcome in outcomes.items()}
+        cursor = dict.fromkeys(outcomes, 0)
         for pair_req in bundle.order:
             group_id = pair_req.group_id
+            group_records = records.get(group_id)
+            if group_records is None:
+                continue
             index = cursor[group_id]
             cursor[group_id] = index + 1
-            entry = entry_lists[group_id][index]
-            terms = entry.cost_terms
-            for position, (name, allocation) in enumerate(entry.allocations()):
+            for name, allocation, term in group_records[index]:
                 configurations[name].add(allocation)
-                cost_sums[name] = cost_sums[name] + terms[position]
-        return sum(cost_sums.values()), configurations
+                cost_sums[name] = cost_sums[name] + term
+        return configurations, cost_sums
 
     def evaluate_placement(
         self,
@@ -836,7 +742,7 @@ class MappingEngine:
         # Reassemble the per-use-case configurations in the exact global
         # order the general path records allocations in (float accumulations
         # downstream observe insertion order).
-        total_cost, configurations = self._walk_outcomes(bundle, outcomes, {})
+        configurations, cost_sums = self._walk_outcomes(bundle, outcomes)
         result = MappingResult(
             method=method_name,
             topology=topology,
@@ -847,7 +753,7 @@ class MappingEngine:
             configurations=configurations,
             attempted_topologies=(topology.name,),
         )
-        result.cached_communication_cost = total_cost
+        result.cached_communication_cost = sum(cost_sums.values())
         return result
 
     # ------------------------------------------------------------------ #
@@ -874,21 +780,20 @@ class MappingEngine:
         ``evaluation_hits`` / ``evaluation_misses``
             Fixed-placement group evaluations (the refinement hot path,
             :meth:`placement_cost` / :meth:`evaluate_placement`) answered
-            from the in-memory cache, the imported-evaluation index or the
-            attached store / actually computed.  A warm refinement whose
+            from the in-memory cache or the attached store / actually
+            computed.  A warm refinement whose
             candidates were all previously evaluated reports
             ``evaluation_misses == 0``.
         ``imported_results`` / ``imported_evaluations``
             How many of the hits above were materialised from *imported*
-            state (an attached :class:`~repro.jobs.store.EngineStateStore`
-            or :meth:`import_evaluations`) rather than computed earlier in
-            this process.
+            state (an attached :class:`~repro.jobs.store.EngineStateStore`)
+            rather than computed earlier in this process.
         ``screen_hits`` / ``screen_misses``
             Traffic of the batched candidate screen (:meth:`screener`):
             group projections answered from a screen's run-local memo /
-            computed by its vectorised kernel.  Every ``screen_miss`` is
-            also counted as an ``evaluation_miss`` (the kernel evaluation
-            *is* the computation, admitted to the evaluation cache);
+            computed by :meth:`UnifiedMapper.evaluate_group_fixed` on its
+            behalf.  Every ``screen_miss`` is also counted as an
+            ``evaluation_miss`` (it is the same computation, cached alike);
             projections a screen recalls from the caches above count as
             ``evaluation_hits`` like any other recall.  A refinement run
             that used screening at all reports ``screen_hits +
@@ -917,8 +822,8 @@ class MappingEngine:
         ``load_evaluations``).  Once attached, a :meth:`map` miss looks the
         result up by content key, and the first evaluation miss against a
         (spec, grouping, topology) context loads that context's stored
-        entries into the lazy seed index — the engine reads *only the keys
-        it misses*, so a large store costs nothing to attach.  Attachment is
+        entries into a lazy index — the engine reads *only the keys it
+        misses*, so a large store costs nothing to attach.  Attachment is
         inherited by :meth:`with_params` siblings (each computes keys at its
         own operating point).  The engine never writes to the store; the
         jobs runner ingests :meth:`export_results` /
@@ -977,136 +882,64 @@ class MappingEngine:
         return document, fingerprint
 
     # ------------------------------------------------------------------ #
-    # fixed-placement evaluation export/import (ROADMAP follow-up (k))
+    # fixed-placement evaluations: store reads and export
     # ------------------------------------------------------------------ #
-    def import_evaluations(self, documents: Iterable[Dict]) -> int:
-        """Seed the fixed-placement evaluation cache from exported entries.
-
-        The in-memory import half of :meth:`export_evaluations` (the jobs
-        layer goes through an attached store instead), with a lazy-index,
-        never-re-export discipline: entries whose context matches this
-        engine's operating point are admitted to a key-addressed index (no
-        deserialisation up front) and rebuilt into live
-        :class:`~repro.core.mapping.PairPlacement` lists
-        only when an evaluation miss actually asks for their key; the raw
-        documents are retained and offered to every :meth:`with_params`
-        sibling.  Materialised entries are excluded from
-        :meth:`export_evaluations`, so a seeded engine never re-exports the
-        corpus it was fed.  Malformed documents are skipped silently; the
-        count of newly indexed entries is returned.
-
-        Seeding only short-circuits deterministic recomputation: entries
-        round-trip bit-exactly, so a warm refinement accepts the same moves
-        at the same costs as a cold one.
-        """
-        fresh = [entry for entry in documents if isinstance(entry, dict)]
-        self._seed_eval_docs.extend(fresh)
-        return self._index_eval_seeds(fresh)
-
-    def _index_eval_seeds(self, documents: Iterable[Dict]) -> int:
-        """Admit matching evaluation entries to the lazy index; count them."""
-        from repro.io.serialization import document_fingerprint
-
-        params_document, config_document = self._own_documents()
-        indexed = 0
-        for document in documents:
-            try:
-                if (
-                    document["params"] != params_document
-                    or document["config"] != config_document
-                ):
-                    continue
-                spec_hash = document["spec_hash"]
-                groups_key = tuple(
-                    tuple(sorted(group)) for group in document["groups"]
-                )
-                topology_fp = document_fingerprint(document["topology"])
-                entries = document["entries"]
-            except (KeyError, TypeError):
-                continue
-            if not isinstance(entries, list):
-                continue
-            for entry in entries:
-                try:
-                    key = (
-                        spec_hash,
-                        groups_key,
-                        topology_fp,
-                        int(entry["group_id"]),
-                        tuple(int(v) for v in entry["projection"]),
-                    )
-                except (KeyError, TypeError, ValueError):
-                    continue
-                if key in self._eval_seed_index or key in self._imported_eval_keys:
-                    continue
-                self._eval_seed_index[key] = entry.get("outcome")
-                indexed += 1
-        return indexed
-
-    def _imported_evaluation(
+    def _stored_pairs(
         self,
         bundle: _RequirementBundle,
         topology: Topology,
         group_id: int,
         projection: Tuple[int, ...],
-    ) -> Optional[Tuple[Optional[List]]]:
-        """Serve one evaluation miss from imports or the attached store.
+    ):
+        """Serve one evaluation miss from the attached store.
 
-        Returns ``None`` when nothing was imported for the key, else a
-        1-tuple wrapping the *parsed* (path, starts) pair list (which is
-        itself ``None`` for a cached infeasibility — the wrapper keeps the
-        two distinguishable).  Parsing/validation happens here so a corrupt
-        entry degrades to recomputation instead of failing mid-assembly;
-        live ``PairPlacement`` objects are built lazily by
-        :class:`_GroupOutcome` — only accepted candidates pay for them.
+        Returns the parsed ``(path, starts)`` pair list — ``None`` for a
+        stored infeasibility — or ``_MISSING`` when the store holds nothing
+        usable for the key.  The first miss against a (spec, grouping,
+        topology) context loads that context's entries into the lazy index
+        once; later candidates of the same run are answered from memory.
+        Parsing happens here, so a corrupt entry degrades to recomputation
+        instead of failing mid-assembly.
         """
-        if not self._eval_seed_index and self._store is None:
-            return None
+        if self._store is None:
+            return _MISSING
         topology_document, topology_fp = self._topology_doc(topology)
         content_key = (
             bundle.spec_hash, bundle.groups_key, topology_fp, group_id, projection,
         )
-        outcome_document = self._eval_seed_index.pop(content_key, _MISSING)
-        if outcome_document is _MISSING and self._store is not None:
-            # First miss against this (spec, grouping, topology) context:
-            # load the whole context shard once; later candidates of the
-            # same refinement run are answered from the index in memory.
+        index = self._store_index
+        outcome_document = index.pop(content_key, _MISSING)
+        if outcome_document is _MISSING:
             params_document, config_document = self._own_documents()
             context = self._store.evaluation_context(
                 bundle.spec_hash, bundle.groups_key, topology_document,
                 params_document, config_document,
             )
-            if context not in self._store_contexts:
-                self._store_contexts.add(context)
-                for (gid, proj), entry in self._store.load_evaluations(
-                    context
-                ).items():
-                    key = (
-                        bundle.spec_hash, bundle.groups_key, topology_fp, gid, proj,
-                    )
-                    if (
-                        key not in self._eval_seed_index
-                        and key not in self._imported_eval_keys
-                    ):
-                        self._eval_seed_index[key] = entry.get("outcome")
-                outcome_document = self._eval_seed_index.pop(content_key, _MISSING)
-        if outcome_document is _MISSING:
-            return None
+            if context in self._store_contexts:
+                return _MISSING
+            self._store_contexts.add(context)
+            for (gid, proj), entry in self._store.load_evaluations(context).items():
+                key = (bundle.spec_hash, bundle.groups_key, topology_fp, gid, proj)
+                if key not in index and key not in self._imported_eval_keys:
+                    index[key] = entry.get("outcome")
+            outcome_document = index.pop(content_key, _MISSING)
+            if outcome_document is _MISSING:
+                return _MISSING
         pairs = None
         if outcome_document is not None:
             pairs = _parse_outcome_doc(
                 outcome_document, len(bundle.group_plans[group_id])
             )
             if pairs is None:
-                return None  # corrupt entry: fall through to recomputation
+                return _MISSING  # corrupt entry: fall through to recomputation
         self._imported_eval_keys.add(content_key)
-        return (pairs,)
+        return pairs
 
     def export_evaluations(self) -> List[Dict]:
         """Serialise the fixed-placement evaluations *this engine computed*.
 
         The evaluation twin of :meth:`export_results`: entries materialised
-        from imports (or the attached store) are excluded, so the corpus
+        from the attached store are excluded, so the corpus
         stays proportional to distinct evaluations.  Entries are grouped
         into one document per (spec, grouping, topology) context — the unit
         :class:`~repro.jobs.store.EngineStateStore` shards by — each
@@ -1144,7 +977,7 @@ class MappingEngine:
                     "group_id": group_id,
                     "projection": list(projection),
                     "outcome": _outcome_to_doc(
-                        None if outcome is None else outcome.entries
+                        None if outcome is None else outcome.pairs
                     ),
                 }
             )

@@ -38,7 +38,7 @@ from repro.core.usecase import Flow, TrafficClass, UseCase, UseCaseSet
 from repro.exceptions import ConfigurationError, MappingError, ResourceError, SpecificationError
 from repro.noc.resources import INFEASIBLE_COST, ResourceState
 from repro.noc.routing import PathSelector
-from repro.noc.slot_table import slots_needed_cached
+from repro.noc.slot_table import lowest_set_bits, pipelined_free_mask, slots_needed_cached
 from repro.noc.topology import Topology, mesh_growth_schedule
 from repro.params import MapperConfig, NoCParameters
 from repro.perf.latency import latency_hop_budget
@@ -283,54 +283,6 @@ class _AttemptAccounting:
             heapq.heappush(self.preferred, position)
 
 
-class PairPlacement:
-    """Outcome of placing one aggregated pair during fixed-placement evaluation.
-
-    Holds what both consumers of a cached group evaluation need: the
-    ``bandwidth x hops`` cost terms (cost-only candidate screening) and the
-    ingredients of the member :class:`FlowAllocation` records, which are
-    materialised lazily — only placements that get *accepted* ever assemble
-    a full :class:`MappingResult` — and then memoised for later assemblies
-    of the same cached evaluation.
-    """
-
-    __slots__ = ("members", "switch_path", "link_slots", "cost_terms", "_allocations")
-
-    def __init__(
-        self,
-        members: Tuple[Tuple[str, Flow], ...],
-        switch_path: Tuple[int, ...],
-        link_slots: Mapping,
-        cost_terms: Tuple[float, ...],
-    ) -> None:
-        self.members = members
-        self.switch_path = switch_path
-        self.link_slots = link_slots
-        self.cost_terms = cost_terms
-        self._allocations: Optional[Tuple[Tuple[str, FlowAllocation], ...]] = None
-
-    def allocations(self) -> Tuple[Tuple[str, "FlowAllocation"], ...]:
-        """(member name, allocation) pairs, built on first use and memoised."""
-        cached = self._allocations
-        if cached is None:
-            switch_path = self.switch_path
-            link_slots = self.link_slots
-            cached = tuple(
-                (
-                    name,
-                    FlowAllocation(
-                        use_case=name,
-                        flow=flow,
-                        switch_path=switch_path,
-                        link_slots=dict(link_slots),
-                    ),
-                )
-                for name, flow in self.members
-            )
-            self._allocations = cached
-        return cached
-
-
 class UnifiedMapper:
     """The paper's unified mapping / path-selection / slot-reservation engine."""
 
@@ -342,9 +294,9 @@ class UnifiedMapper:
         self.params = params or NoCParameters()
         self.config = config or MapperConfig()
         #: small identity-keyed LRU of PathSelectors: the refinement passes
-        #: call ``map_with_placement`` hundreds of times on one topology and
-        #: reuse its candidate-path cache through this, while the bound keeps
-        #: the outer loop's discarded topologies from accumulating.
+        #: evaluate hundreds of placements on one topology and reuse its
+        #: candidate-path cache through this, while the bound keeps the
+        #: outer loop's discarded topologies from accumulating.
         self._selector_cache: "OrderedDict[int, Tuple[Topology, PathSelector]]" = (
             OrderedDict()
         )
@@ -352,7 +304,7 @@ class UnifiedMapper:
         #: every attempt copies the template instead of rebuilding the link
         #: and slot tables, and the copies share the template's path->links
         #: memo, so derived routing state carries over across the outer
-        #: loop's growing mesh attempts and across refinement candidates.
+        #: loop's growing mesh attempts.
         self._pristine_cache: "OrderedDict[int, Tuple[Topology, ResourceState]]" = (
             OrderedDict()
         )
@@ -635,89 +587,128 @@ class UnifiedMapper:
     def evaluate_group_fixed(
         self,
         topology: Topology,
-        group_id: int,
         plan: Sequence[Tuple[_PairRequirement, Tuple[Tuple[str, Flow], ...]]],
         placement: Mapping[str, int],
-    ) -> Optional[List[PairPlacement]]:
+    ) -> Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
         """Evaluate one configuration group under a complete core placement.
 
         ``plan`` is the group's slice of the worklist's placement sequence,
         each entry pairing the aggregated requirement with the (member name,
-        member flow) records to emit for it.  Returns one
-        :class:`PairPlacement` per plan item (in plan order), or ``None``
-        when the group cannot be mapped — exactly the decisions
-        :meth:`_attempt` makes for this group when every endpoint is
-        pre-placed:
+        member flow) records to emit for it.  Returns one ``(switch path,
+        starting slots)`` decision per plan entry, in plan order (no starts
+        for best-effort flows and same-switch paths), or ``None`` when the
+        group cannot be mapped — exactly the decisions :meth:`_attempt`
+        makes for this group when every endpoint is pre-placed:
 
         * with a complete placement the group's resource state evolves
           independently of every other group, so evaluating it alone is
           exact (this is what makes per-group caching in the engine sound);
+        * that state lives in dicts that default to a fresh group state —
+          every residual at link capacity, every slot table free — instead
+          of a copied topology-wide :class:`ResourceState`, and every float
+          operation is ``ResourceState.path_cost``'s or ``_commit``'s, in
+          the same order, so ranking ties resolve identically;
         * when a pair has a single candidate path, ranking by cost is
-          skipped: the reservation plan performs a strict superset of the
-          path-cost feasibility checks, so attempting the reservation
-          directly accepts and rejects in exactly the same cases;
-        * with several candidates, ranking by (cost, path) and trying the
-          cheapest reservable candidate first replays
-          ``PathSelector.select_least_cost`` exactly (its ``min`` is the
-          first element of the stable full sort).
+          skipped: the reservation checks are a strict superset of the
+          path-cost feasibility checks, so reserving directly accepts and
+          rejects in exactly the same cases;
+        * with several candidates, trying them in (cost, path) order
+          replays ``PathSelector.select_least_cost`` exactly.  Ranking has
+          already checked every link's residual bandwidth and free slots,
+          and nothing commits until a path succeeds, so trying a ranked
+          path is just its pipelined slot search.
         """
-        selector = self._selector_for(topology)
-        state = self._pristine_for(topology).copy(name=f"group-{group_id}")
-        seen: Set[str] = set()
-        seed_items: List[Tuple[str, int]] = []
-        for req, _members in plan:
-            for core in (req.source, req.destination):
-                if core not in seen:
-                    seen.add(core)
-                    seed_items.append((core, placement[core]))
-        state.seed_cores(seed_items)
+        candidate_paths = self._selector_for(topology).candidate_paths
         budgets = self._budgets_for(plan)
-        candidate_paths = selector.candidate_paths
-        path_cost = state.path_cost
-        reserve_unrecorded = state.reserve_unrecorded
+        capacity = self.params.link_capacity
+        size = self.params.slot_table_size
+        full = (1 << size) - 1
         config = self.config
-        entries: List[PairPlacement] = []
-        for index, (req, members) in enumerate(plan):
+        hop_weight = config.hop_weight
+        bandwidth_weight = config.bandwidth_weight
+        slot_weight = config.slot_weight
+        link_residual: Dict[Tuple[int, int], float] = {}
+        free_masks: Dict[Tuple[int, int], int] = {}
+        ingress: Dict[str, float] = {}
+        egress: Dict[str, float] = {}
+        decisions: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+        for index, (req, _members) in enumerate(plan):
             max_hops = budgets[index]
             if max_hops is not None and max_hops < 0:
                 return None
+            source = req.source
+            destination = req.destination
             bandwidth = req.bandwidth
             guaranteed = req.guaranteed
-            assignment = None
-            paths = candidate_paths(placement[req.source], placement[req.destination])
+            threshold = bandwidth - 1e-9
+            paths = candidate_paths(placement[source], placement[destination])
+            if (
+                ingress.get(source, capacity) < threshold
+                or egress.get(destination, capacity) < threshold
+            ):
+                return None
+            needed = slots_needed_cached(bandwidth, capacity, size) if guaranteed else 0
             if len(paths) == 1:
                 path = paths[0]
-                if max_hops is None or len(path) - 1 <= max_hops:
-                    assignment = reserve_unrecorded(
-                        req.flow_id, req.source, req.destination, path,
-                        bandwidth, guaranteed=guaranteed,
-                    )
+                if max_hops is not None and len(path) - 1 > max_hops:
+                    return None
+                for link in zip(path, path[1:]):
+                    if link_residual.get(link, capacity) < threshold:
+                        return None
+                ranked: Sequence[Tuple[int, ...]] = paths
             else:
-                ranked: List[Tuple[float, Tuple[int, ...]]] = []
+                scored: List[Tuple[float, Tuple[int, ...]]] = []
                 for path in paths:
-                    if max_hops is not None and len(path) - 1 > max_hops:
+                    hops = len(path) - 1
+                    if max_hops is not None and hops > max_hops:
                         continue
-                    cost = path_cost(path, bandwidth, config, guaranteed=guaranteed)
-                    if cost != INFEASIBLE_COST:
-                        ranked.append((cost, path))
-                ranked.sort()
-                for _cost, path in ranked:
-                    assignment = reserve_unrecorded(
-                        req.flow_id, req.source, req.destination, path,
-                        bandwidth, guaranteed=guaranteed,
-                    )
-                    if assignment is not None:
-                        break
-            if assignment is None:
+                    cost = hop_weight * hops
+                    for link in zip(path, path[1:]):
+                        residual = link_residual.get(link, capacity)
+                        if residual < threshold:
+                            break
+                        cost += bandwidth_weight * (
+                            bandwidth / (residual if residual > 1e-9 else 1e-9)
+                        )
+                        if guaranteed:
+                            free = free_masks.get(link, full).bit_count()
+                            if free < needed:
+                                break
+                            cost += slot_weight * (needed / free)
+                    else:
+                        scored.append((cost, path))
+                scored.sort()
+                ranked = [path for _cost, path in scored]
+            for path in ranked:
+                links = tuple(zip(path, path[1:]))
+                if not guaranteed or not links:
+                    starts: Optional[Tuple[int, ...]] = ()
+                    break
+                starts = lowest_set_bits(
+                    pipelined_free_mask(
+                        [free_masks.get(link, full) for link in links], size
+                    ),
+                    needed,
+                )
+                if starts is not None:
+                    break
+            else:
                 return None
-            hops = len(path) - 1
-            entries.append(PairPlacement(
-                members=members,
-                switch_path=path,
-                link_slots=assignment,
-                cost_terms=tuple(flow.bandwidth * hops for _name, flow in members),
-            ))
-        return entries
+            # Commit, in ResourceState._commit's order.
+            ingress[source] = ingress.get(source, capacity) - bandwidth
+            egress[destination] = egress.get(destination, capacity) - bandwidth
+            for link in links:
+                link_residual[link] = link_residual.get(link, capacity) - bandwidth
+            if starts:
+                taken = 0
+                for start in starts:
+                    taken |= 1 << start
+                for link in links:
+                    free_masks[link] = free_masks.get(link, full) & ~taken
+                    # the next hop carries every slot one position later
+                    taken = ((taken << 1) | (taken >> (size - 1))) & full
+            decisions.append((path, starts))
+        return decisions
 
     def _attempt(
         self,

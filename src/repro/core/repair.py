@@ -155,38 +155,6 @@ def _affected_groups(bundle, baseline: MappingResult, failures: FailureSet,
     return affected
 
 
-def _subset_configurations(bundle, outcomes, subset: FrozenSet[int]):
-    """Materialise the affected groups' configurations in global order.
-
-    Mirrors :meth:`MappingEngine._walk_outcomes` restricted to a subset of
-    groups: allocations and float cost accumulations happen in the exact
-    order the general path records them, which keeps repaired results
-    bit-identical between warm and cold engines.
-    """
-    configurations: Dict[str, UseCaseConfiguration] = {}
-    cost_sums: Dict[str, float] = {}
-    for requirement in bundle.requirements:
-        if requirement.group_id not in subset:
-            continue
-        for name in requirement.member_names:
-            cost_sums[name] = 0.0
-            configurations[name] = UseCaseConfiguration(name, requirement.group_id)
-    entry_lists = {gid: outcomes[gid].entries for gid in subset}
-    cursor: Dict[int, int] = {gid: 0 for gid in subset}
-    for pair_req in bundle.order:
-        group_id = pair_req.group_id
-        if group_id not in subset:
-            continue
-        index = cursor[group_id]
-        cursor[group_id] = index + 1
-        entry = entry_lists[group_id][index]
-        terms = entry.cost_terms
-        for position, (name, allocation) in enumerate(entry.allocations()):
-            configurations[name].add(allocation)
-            cost_sums[name] = cost_sums[name] + terms[position]
-    return configurations, cost_sums
-
-
 def _alive_candidates(degraded: Topology, placement: Dict[str, int],
                       limit: Optional[int]) -> List[int]:
     """Alive switches with room for one more core, sorted by index."""
@@ -215,7 +183,7 @@ def _probe_unrepairable(engine: MappingEngine, bundle, degraded: Topology,
             continue
         try:
             outcome = engine.mapper.evaluate_group_fixed(
-                degraded, group_id, bundle.group_plans[group_id], placement
+                degraded, bundle.group_plans[group_id], placement
             )
         except Exception:  # noqa: BLE001 - a probe must never raise
             outcome = None
@@ -398,7 +366,7 @@ def repair_mapping(
         )
         return finish(outcome)
 
-    repaired_configs, cost_sums = _subset_configurations(bundle, outcomes, affected)
+    repaired_configs, cost_sums = engine._walk_outcomes(bundle, outcomes)
     configurations: Dict[str, UseCaseConfiguration] = {}
     total_cost = 0.0
     for requirement in bundle.requirements:

@@ -170,27 +170,6 @@ class ResourceState:
         self._ingress_residual[core_name] = capacity
         self._egress_residual[core_name] = capacity
 
-    def seed_cores(self, items: Sequence[Tuple[str, int]]) -> None:
-        """Bulk-attach pre-validated cores to a fresh state.
-
-        Fast path for the engine's fixed-placement evaluator, which
-        validates switch indices and the per-switch core limit globally
-        before seeding each group's throwaway state; equivalent to calling
-        :meth:`attach_core` per item on a state with no prior attachments.
-        """
-        capacity = self._capacity
-        core_switch = self._core_switch
-        counts = self._switch_core_count
-        ingress = self._ingress_residual
-        egress = self._egress_residual
-        for core_name, switch_index in items:
-            core_switch[core_name] = switch_index
-            counts[switch_index] = counts.get(switch_index, 0) + 1
-            ingress[core_name] = capacity
-            egress[core_name] = capacity
-        self._version += 1
-        self._last_plan = None
-
     def switch_of(self, core_name: str) -> Optional[int]:
         """The switch a core is attached to, or ``None`` if unmapped."""
         return self._core_switch.get(core_name)
@@ -510,32 +489,6 @@ class ResourceState:
             # The assignment was planned against the current table state, so
             # the unchecked grant path is safe.
             slot_tables[link]._grant(flow_id, slots)
-
-    def reserve_unrecorded(
-        self,
-        flow_id: str,
-        source_core: str,
-        destination_core: str,
-        switch_path: Sequence[int],
-        bandwidth: float,
-        guaranteed: bool = True,
-    ) -> Optional[Dict[Link, Tuple[int, ...]]]:
-        """Reserve along a path without creating a :class:`PathReservation`.
-
-        Fast path for throwaway evaluation states (the engine's
-        fixed-placement evaluator): the plan/commit behaviour is exactly
-        :meth:`reserve`'s, but infeasibility returns ``None`` instead of
-        raising and no release record is kept — such states are discarded,
-        never unwound.  Returns the per-link slot assignment on success.
-        """
-        plan = self._plan(
-            source_core, destination_core, switch_path, bandwidth, guaranteed, None
-        )
-        if plan is None:
-            return None
-        links, assignment = plan
-        self._commit(flow_id, source_core, destination_core, bandwidth, links, assignment)
-        return assignment
 
     def release(self, reservation: PathReservation) -> None:
         """Return a reservation's bandwidth and slots to the free pool.

@@ -37,7 +37,6 @@ __all__ = [
     "slots_needed_cached",
     "find_pipelined_slots",
     "pipelined_free_mask",
-    "hop_mask_matrix",
     "lowest_set_bits",
     "rotated_start_slots",
 ]
@@ -327,27 +326,6 @@ def pipelined_free_mask(masks: Sequence[int], size: int) -> int:
         if not admissible:
             break
     return admissible
-
-
-def hop_mask_matrix(
-    free_masks: Dict[Tuple[int, int], int],
-    paths_links: Sequence[Sequence[Tuple[int, int]]],
-    full_mask: int,
-) -> List[List[int]]:
-    """Per-hop free-mask rows for a batch of candidate paths.
-
-    ``free_masks`` maps a directed link to its current free mask; links
-    absent from the mapping are untouched and default to ``full_mask``.
-    Row ``i`` of the result holds the free masks of path ``i``'s links in
-    hop order — the matrix shape consumed by the batched rotate-and-AND
-    admissibility screen (:mod:`repro.optimize.screen`), whose backends
-    reduce each row to the admissible starting-slot mask that
-    :func:`pipelined_free_mask` would compute link by link.
-    """
-    return [
-        [free_masks.get(link, full_mask) for link in links]
-        for links in paths_links
-    ]
 
 
 def rotated_start_slots(starts: Tuple[int, ...], shift: int, size: int) -> Tuple[int, ...]:

@@ -16,10 +16,9 @@ Two layers scale the search up without changing any decision it makes:
 
 * :mod:`repro.optimize.screen` — batched candidate screening: both
   refiners evaluate neighbour placements through a
-  :class:`~repro.optimize.screen.CandidateScreen` that replays the scalar
-  evaluation bit-identically on lazy per-group state, vectorising slot
-  admissibility over hop-mask matrices (numpy when importable, packed
-  ints otherwise).
+  :class:`~repro.optimize.screen.CandidateScreen`, which memoises per-group
+  cost sums for the run and prunes neighbours on exact lower bounds, with
+  the engine's fixed-placement evaluator underneath.
 * :mod:`repro.optimize.portfolio` — a portfolio of refinement chains with
   distinct seeds/temperatures sharing one engine-state store, reduced to
   a deterministic best-of.

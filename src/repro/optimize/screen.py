@@ -4,160 +4,36 @@ The refiners evaluate hundreds of neighbour placements per run, and almost
 all of that budget is spent re-deriving per-group mapping decisions the
 engine has not cached yet.  This module provides a
 :class:`CandidateScreen` bound to one (engine, spec, grouping, topology)
-refinement context that answers candidate costs three ways, cheapest
+refinement context that answers candidate costs in two tiers, cheapest
 first:
 
 1. **Run-local memo** — a (group, endpoint projection) that was already
    screened this run returns its per-use-case cost sums immediately
    (``screen_hits`` in :meth:`MappingEngine.cache_info`).
-2. **Engine recall** — the engine's evaluation cache, imported corpus and
-   attached :class:`~repro.jobs.store.EngineStateStore` are consulted with
-   the exact counters the unscreened path would report
-   (``evaluation_hits`` / ``imported_evaluations``).
-3. **Screening kernel** — an exact replica of
-   :meth:`UnifiedMapper.evaluate_group_fixed` that evolves the group's
-   resource state on throwaway dicts (lazy defaults: every link residual
-   starts at capacity, every slot-table free mask starts full) instead of
-   copying the topology-wide ``ResourceState`` per candidate — the
-   dominant cost on big meshes.  Slot admissibility for all of a pair's
-   candidate paths is computed at once by rotate-and-AND over the hop-mask
-   matrix (:func:`~repro.noc.slot_table.hop_mask_matrix`) through a numpy
-   backend when numpy is importable, the slot table fits in 64 bits *and*
-   the batch is wide enough to amortise the int-to-uint64 conversion
-   (:data:`NUMPY_MIN_ROWS`), or a pure-python packed-int fallback
-   otherwise.  Kernel decisions are
-   admitted into the engine's evaluation cache in the serialised
-   ``(path, starts)`` form, so exports, warm starts and the final
-   :meth:`MappingEngine.evaluate_placement` materialisation are
-   bit-identical to the unscreened path (``screen_misses`` counts kernel
-   evaluations; they are also ``evaluation_misses``, because a kernel
-   evaluation *is* a computed evaluation).
+2. **Engine recall or compute** — the engine's recall-or-compute path
+   (:meth:`MappingEngine._group_outcome`) consults the evaluation cache and
+   the attached :class:`~repro.jobs.store.EngineStateStore` with the exact
+   counters the unscreened path reports (``evaluation_hits`` /
+   ``imported_evaluations``), and otherwise computes the group with
+   :meth:`UnifiedMapper.evaluate_group_fixed`, the one fixed-placement
+   evaluator (``screen_misses`` counts those computations; they are also
+   ``evaluation_misses``).
 
-Bit-identity is the contract everything else hangs off: both backends
-perform the same integer mask operations, every float accumulation keeps
-the scalar evaluation's operation order, and only provably-losing
-candidates may be skipped by callers (see :meth:`CandidateScreen.screen`'s
-lower bounds).  The fingerprint suites in ``tests/test_screen.py`` pin
-this for numpy and fallback alike.
+Bit-identity is the contract everything else hangs off: costs come from the
+same cached decisions the unscreened path uses, every float accumulation
+keeps its operation order, and only provably-losing candidates may be
+skipped by callers (see :meth:`CandidateScreen.screen`'s lower bounds).
+``tests/test_screen.py`` pins this against the unscreened walk.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.noc.resources import INFEASIBLE_COST
-from repro.noc.slot_table import (
-    hop_mask_matrix,
-    lowest_set_bits,
-    pipelined_free_mask,
-    slots_needed_cached,
-)
+from repro.exceptions import MappingError
 
-__all__ = [
-    "CandidateScreen",
-    "ScreenedCandidate",
-    "NumpyMaskBackend",
-    "PackedIntMaskBackend",
-    "NUMPY_MIN_ROWS",
-    "select_backend",
-]
-
-try:  # pragma: no cover - exercised via the backend-selection tests
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("numpy disabled via REPRO_NO_NUMPY")
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-
-class PackedIntMaskBackend:
-    """Pure-python fallback: reduce each hop-mask row with big-int ops."""
-
-    name = "fallback"
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-
-    def admissible_start_masks(self, rows: Sequence[Sequence[int]]) -> List[int]:
-        """Admissible starting-slot mask per row (one row = one path)."""
-        size = self.size
-        return [pipelined_free_mask(row, size) for row in rows]
-
-
-class NumpyMaskBackend:
-    """Vectorised rotate-and-AND over a uint64 hop-mask matrix.
-
-    Only usable for slot tables of at most 64 slots (the masks must pack
-    into one lane); :func:`select_backend` falls back above that.  The
-    integer results are exactly :func:`pipelined_free_mask`'s — the float
-    side of screening never goes through numpy, which is what keeps the
-    two backends bit-identical.
-    """
-
-    name = "numpy"
-
-    def __init__(self, size: int) -> None:
-        if _np is None:  # pragma: no cover - guarded by select_backend
-            raise RuntimeError("numpy is not available")
-        if size > 64:
-            raise ValueError("numpy mask backend requires slot tables <= 64 slots")
-        self.size = size
-        self._full = _np.uint64((1 << size) - 1)
-
-    def admissible_start_masks(self, rows: Sequence[Sequence[int]]) -> List[int]:
-        """Admissible starting-slot mask per row (one row = one path)."""
-        if not rows:
-            return []
-        size = self.size
-        full_int = (1 << size) - 1
-        width = max(len(row) for row in rows)
-        matrix = _np.full((len(rows), width), full_int, dtype=_np.uint64)
-        for index, row in enumerate(rows):
-            if row:
-                matrix[index, : len(row)] = row
-        # Rotate hop column ``j`` right by ``j mod size`` into the
-        # start-slot frame, then AND-reduce across hops.  Padding columns
-        # hold the full mask, whose rotation is itself, so ragged rows are
-        # unaffected.  ``rotation == 0`` skips the shift pair (a shift by
-        # ``size`` would be undefined for size == 64).
-        admissible = _np.full(len(rows), full_int, dtype=_np.uint64)
-        for hop in range(width):
-            column = matrix[:, hop]
-            rotation = hop % size
-            if rotation:
-                column = (
-                    (column >> _np.uint64(rotation))
-                    | (column << _np.uint64(size - rotation))
-                ) & self._full
-            admissible &= column
-        return [int(value) for value in admissible]
-
-
-#: Measured CPython 3.11 crossover: numpy's per-call cost is dominated by
-#: converting Python ints into the uint64 matrix, so the vectorised
-#: reduction only wins once a batch is ~64 rows wide; below that the
-#: packed-int loop is faster (2-5x at the <=8-row batches minimal-path
-#: budgets produce on small meshes).
-NUMPY_MIN_ROWS = 64
-
-
-def select_backend(size: int, rows: Optional[int] = None):
-    """The mask backend for one batch: numpy for wide batches, else ints.
-
-    ``rows`` is the batch width about to be screened; ``None`` means
-    "unknown / large" and selects numpy whenever it is usable at all (the
-    table must fit one uint64 lane).  Both backends are bit-identical, so
-    the choice is purely a throughput decision.
-    """
-    if (
-        _np is not None
-        and size <= 64
-        and (rows is None or rows >= NUMPY_MIN_ROWS)
-    ):
-        return NumpyMaskBackend(size)
-    return PackedIntMaskBackend(size)
+__all__ = ["CandidateScreen", "ScreenedCandidate"]
 
 
 class ScreenedCandidate:
@@ -211,26 +87,8 @@ class CandidateScreen:
         self._resolved = resolved
         self._bundle = bundle
         self._topology = topology
-        self._selector = engine.mapper._selector_for(topology)
-        params = engine.params
-        self._capacity = params.link_capacity
-        self._size = params.slot_table_size
-        self._full_mask = (1 << self._size) - 1
-        self._limit = params.max_cores_per_switch
-        config = engine.config
-        self._hop_weight = config.hop_weight
-        self._bandwidth_weight = config.bandwidth_weight
-        self._slot_weight = config.slot_weight
-        self._packed = PackedIntMaskBackend(self._size)
-        self._numpy = (
-            NumpyMaskBackend(self._size)
-            if _np is not None and self._size <= 64
-            else None
-        )
         #: (group_id, projection) -> name-sums tuple | None (infeasibility)
         self._memo: Dict[Tuple[int, Tuple[int, ...]], Optional[Tuple[float, ...]]] = {}
-        #: path tuple -> directed link tuple
-        self._links_memo: Dict[Tuple[int, ...], Tuple[Tuple[int, int], ...]] = {}
         #: (switch, switch) -> shortest hop count (lower-bound distances)
         self._distance_memo: Dict[Tuple[int, int], int] = {}
         core_names = bundle.spec_core_names
@@ -253,23 +111,6 @@ class CandidateScreen:
                     terms.append((source, destination, flow.bandwidth))
             self._lb_terms[group_id] = terms
 
-    @property
-    def backend_name(self) -> str:
-        """The backend wide batches go through (``"numpy"`` / ``"fallback"``).
-
-        Narrow batches always take the packed-int reduction — below
-        :data:`NUMPY_MIN_ROWS` rows it is simply faster — so this names
-        the vectorised engine available for the wide ones.
-        """
-        return self._packed.name if self._numpy is None else self._numpy.name
-
-    def _admissible(self, rows: Sequence[Sequence[int]]) -> List[int]:
-        """Admissible starting-slot mask per row, via the profitable backend."""
-        numpy_backend = self._numpy
-        if numpy_backend is not None and len(rows) >= NUMPY_MIN_ROWS:
-            return numpy_backend.admissible_start_masks(rows)
-        return self._packed.admissible_start_masks(rows)
-
     # ------------------------------------------------------------------ #
     # batched screening
     # ------------------------------------------------------------------ #
@@ -289,7 +130,7 @@ class CandidateScreen:
         core_names = self._core_names
         if any(name not in placement for name in core_names):
             return ScreenedCandidate(True, None, 0.0)
-        if not self._placement_valid(placement):
+        if self._engine._placement_fault(self._topology, placement) is not None:
             return ScreenedCandidate(False, None, math.inf)
         memo = self._memo
         distance = self._distance
@@ -317,8 +158,8 @@ class CandidateScreen:
             # Exact: reproduce placement_cost's reduction order precisely.
             cost = sum(terms)
             return ScreenedCandidate(True, cost, cost)
-        # fsum is exactly rounded, so both backends (and repeat runs)
-        # produce the identical lower bound regardless of term order.
+        # fsum is exactly rounded, so repeat runs produce the identical
+        # lower bound regardless of term order.
         return ScreenedCandidate(True, None, math.fsum(terms))
 
     # ------------------------------------------------------------------ #
@@ -335,8 +176,6 @@ class CandidateScreen:
         core_names = self._core_names
         if any(name not in placement for name in core_names):
             # Incomplete placements take the engine's general fallback.
-            from repro.exceptions import MappingError
-
             try:
                 return self._engine.placement_cost(
                     self._spec,
@@ -346,7 +185,7 @@ class CandidateScreen:
                 )
             except MappingError:
                 return None
-        if not self._placement_valid(placement):
+        if self._engine._placement_fault(self._topology, placement) is not None:
             return None
         values: List[float] = []
         for requirement in bundle.requirements:
@@ -363,25 +202,6 @@ class CandidateScreen:
             values.extend(sums)
         return sum(values)
 
-    def _placement_valid(self, placement: Mapping[str, int]) -> bool:
-        """The global validation of ``MappingEngine._evaluate_groups``.
-
-        Same checks in the same order; returns ``False`` where the engine
-        raises ``MappingError`` (unknown switch indices raise identically
-        through ``topology.switch``).
-        """
-        topology = self._topology
-        limit = self._limit
-        occupancy: Dict[int, int] = {}
-        for _core, switch in placement.items():
-            topology.switch(switch)
-            if topology.is_switch_down(switch):
-                return False
-            occupancy[switch] = occupancy.get(switch, 0) + 1
-            if limit is not None and occupancy[switch] > limit:
-                return False
-        return True
-
     def _group_sums(
         self,
         group_id: int,
@@ -392,223 +212,22 @@ class CandidateScreen:
         """Per-use-case cost sums for one group, ``None`` if infeasible."""
         key = (group_id, projection)
         memo = self._memo
+        engine = self._engine
         if key in memo:
-            self._engine._counters["screen_hits"] += 1
+            engine._counters["screen_hits"] += 1
             return memo[key]
-        found, outcome = self._engine._recall_group_outcome(
-            self._bundle, self._topology, group_id, projection
+        outcome, computed = engine._group_outcome(
+            self._bundle, self._topology, group_id, projection, placement
         )
-        if not found:
-            pairs = self._kernel(group_id, placement)
-            outcome = self._engine._admit_screened_outcome(
-                self._bundle, self._topology, group_id, projection, pairs
-            )
+        if computed:
+            engine._counters["screen_misses"] += 1
         sums = None if outcome is None else outcome.name_sums(member_names)
         memo[key] = sums
         return sums
 
     # ------------------------------------------------------------------ #
-    # the screening kernel (exact evaluate_group_fixed replica)
+    # lower-bound distances
     # ------------------------------------------------------------------ #
-    def _kernel(
-        self, group_id: int, placement: Mapping[str, int]
-    ) -> Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
-        """Evaluate one group exactly, without copying a ``ResourceState``.
-
-        Replays :meth:`UnifiedMapper.evaluate_group_fixed` decision for
-        decision — same candidate paths, same hop budgets, same ranking
-        floats, same reservation checks in the same order — against lazily
-        defaulted dicts (untouched links hold ``capacity`` residual and a
-        full free mask, exactly a freshly seeded group state).  Returns the
-        serialised ``(switch path, starting slots)`` decision per plan
-        entry, or ``None`` when the group is infeasible — the same document
-        shape stored evaluations use, so admitting the outcome to the
-        engine cache reproduces the scalar path's entries bit-for-bit.
-        """
-        engine = self._engine
-        bundle = self._bundle
-        plan = bundle.group_plans[group_id]
-        budgets = engine.mapper._budgets_for(plan)
-        candidate_paths = self._selector.candidate_paths
-        links_of = self._links_of
-        full = self._full_mask
-        admissible_start_masks = self._admissible
-        link_residual: Dict[Tuple[int, int], float] = {}
-        free_masks: Dict[Tuple[int, int], int] = {}
-        ingress: Dict[str, float] = {}
-        egress: Dict[str, float] = {}
-        pairs: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        for index, (req, _members) in enumerate(plan):
-            max_hops = budgets[index]
-            if max_hops is not None and max_hops < 0:
-                return None
-            bandwidth = req.bandwidth
-            guaranteed = req.guaranteed
-            threshold = bandwidth - 1e-9
-            paths = candidate_paths(placement[req.source], placement[req.destination])
-            starts: Optional[Tuple[int, ...]] = None
-            if len(paths) == 1:
-                path = paths[0]
-                if max_hops is None or len(path) - 1 <= max_hops:
-                    links = links_of(path)
-                    admissible = full
-                    if guaranteed and links:
-                        admissible = admissible_start_masks(
-                            hop_mask_matrix(free_masks, (links,), full)
-                        )[0]
-                    starts = self._try_reserve(
-                        links, bandwidth, guaranteed, threshold,
-                        req.source, req.destination, admissible,
-                        link_residual, free_masks, ingress, egress,
-                    )
-            else:
-                ranked: List[Tuple[float, Tuple[int, ...]]] = []
-                for path in paths:
-                    if max_hops is not None and len(path) - 1 > max_hops:
-                        continue
-                    cost = self._path_cost(
-                        links_of(path), bandwidth, guaranteed, threshold,
-                        link_residual, free_masks,
-                    )
-                    if cost != INFEASIBLE_COST:
-                        ranked.append((cost, path))
-                ranked.sort()
-                if ranked:
-                    if guaranteed:
-                        # One rotate-and-AND over the whole candidate-path
-                        # hop-mask matrix: every ranked path's admissible
-                        # starting slots in a single backend call.
-                        admissibles = admissible_start_masks(
-                            hop_mask_matrix(
-                                free_masks,
-                                [links_of(path) for _cost, path in ranked],
-                                full,
-                            )
-                        )
-                    else:
-                        admissibles = [full] * len(ranked)
-                    for (_cost, path), admissible in zip(ranked, admissibles):
-                        starts = self._try_reserve(
-                            links_of(path), bandwidth, guaranteed, threshold,
-                            req.source, req.destination, admissible,
-                            link_residual, free_masks, ingress, egress,
-                        )
-                        if starts is not None:
-                            break
-            if starts is None:
-                return None
-            pairs.append((path, starts))
-        return pairs
-
-    def _path_cost(
-        self,
-        links: Tuple[Tuple[int, int], ...],
-        bandwidth: float,
-        guaranteed: bool,
-        threshold: float,
-        link_residual: Dict[Tuple[int, int], float],
-        free_masks: Dict[Tuple[int, int], int],
-    ) -> float:
-        """``ResourceState.path_cost`` on the kernel's lazy dicts.
-
-        Same float operations in the same order, so ranking ties and
-        near-ties resolve identically to the scalar path.
-        """
-        capacity = self._capacity
-        full = self._full_mask
-        hops = len(links)
-        cost = self._hop_weight * hops
-        needed = (
-            slots_needed_cached(bandwidth, capacity, self._size) if guaranteed else 0
-        )
-        bandwidth_weight = self._bandwidth_weight
-        slot_weight = self._slot_weight
-        for link in links:
-            residual = link_residual.get(link, capacity)
-            if residual < threshold:
-                return INFEASIBLE_COST
-            cost += bandwidth_weight * (bandwidth / (residual if residual > 1e-9 else 1e-9))
-            if guaranteed:
-                free = free_masks.get(link, full).bit_count()
-                if free < needed:
-                    return INFEASIBLE_COST
-                cost += slot_weight * (needed / free)
-        return cost
-
-    def _try_reserve(
-        self,
-        links: Tuple[Tuple[int, int], ...],
-        bandwidth: float,
-        guaranteed: bool,
-        threshold: float,
-        source: str,
-        destination: str,
-        admissible: int,
-        link_residual: Dict[Tuple[int, int], float],
-        free_masks: Dict[Tuple[int, int], int],
-        ingress: Dict[str, float],
-        egress: Dict[str, float],
-    ) -> Optional[Tuple[int, ...]]:
-        """``ResourceState._plan`` + ``_commit`` on the kernel's lazy dicts.
-
-        Returns the starting-slot tuple on success (empty for best-effort
-        flows and same-switch pairs), ``None`` when the reservation is
-        infeasible — with the feasibility checks in ``_plan``'s exact
-        order.  The endpoint-attachment checks are skipped: candidate
-        paths start and end at the endpoints' placed switches by
-        construction, so they can never fail here.
-        """
-        capacity = self._capacity
-        if ingress.get(source, capacity) < threshold:
-            return None
-        if egress.get(destination, capacity) < threshold:
-            return None
-        for link in links:
-            if link_residual.get(link, capacity) < threshold:
-                return None
-        starts: Tuple[int, ...] = ()
-        if guaranteed and links:
-            size = self._size
-            needed = slots_needed_cached(bandwidth, capacity, size)
-            if needed > size:
-                return None
-            found = lowest_set_bits(admissible, needed)
-            if found is None:
-                return None
-            starts = found
-        # commit (mirrors ResourceState._commit's mutation order)
-        ingress[source] = ingress.get(source, capacity) - bandwidth
-        egress[destination] = egress.get(destination, capacity) - bandwidth
-        for link in links:
-            link_residual[link] = link_residual.get(link, capacity) - bandwidth
-        if starts:
-            size = self._size
-            full = self._full_mask
-            start_mask = 0
-            for start in starts:
-                start_mask |= 1 << start
-            for hop, link in enumerate(links):
-                rotation = hop % size
-                rotated = (
-                    start_mask
-                    if not rotation
-                    else ((start_mask << rotation) | (start_mask >> (size - rotation)))
-                    & full
-                )
-                free_masks[link] = free_masks.get(link, full) & ~rotated
-        return starts
-
-    # ------------------------------------------------------------------ #
-    # small derived-state memos
-    # ------------------------------------------------------------------ #
-    def _links_of(self, path: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
-        memo = self._links_memo
-        links = memo.get(path)
-        if links is None:
-            links = tuple(zip(path, path[1:]))
-            memo[path] = links
-        return links
-
     def _distance(self, source: int, destination: int) -> int:
         """Shortest hop count between two switches (true path-length bound)."""
         if source == destination:

@@ -9,8 +9,8 @@ Pins the ISSUE 5 contracts:
 * concurrent writers (processes sharing a store) don't collide or lose
   whole-batch appends;
 * eviction/compaction keeps a context bounded by ``max_context_entries``;
-* ``MappingEngine.export_evaluations()`` / ``import_evaluations()`` and
-  the store round trip with the lazy-index, never-re-export discipline;
+* ``MappingEngine.export_evaluations()`` and the store round trip with
+  the lazy-index, never-re-export discipline;
 * the headline acceptance: a warm ``RefineJob`` against a store populated
   by its design-flow/refine siblings performs **zero** fixed-placement
   re-evaluations for previously-seen candidates (``evaluation_misses == 0``
@@ -259,27 +259,30 @@ def test_export_import_evaluations_round_trip_bit_identical(tmp_path):
     }
 
 
-def test_import_evaluations_skips_other_operating_points():
+def test_import_evaluations_skips_other_operating_points(tmp_path):
     design = generate_benchmark("spread", 5, seed=3)
+    refiner = TabuRefiner(iterations=4, seed=1)
     base = MappingEngine()
-    _refined(base, design, TabuRefiner(iterations=4, seed=1))
-    exported = base.export_evaluations()
-    assert exported
+    initial = base.map(design)
+    cold = refiner.refine(initial, design, engine=base)
+    store = EngineStateStore(tmp_path / "store")
+    assert store.ingest([], base.export_evaluations())["evaluations"] > 0
 
+    # the same candidates on the same topology, at another operating point:
+    # the store is keyed by params, so nothing is read
     other = MappingEngine(params=base.params.with_frequency(1e9))
-    assert other.import_evaluations(exported) == 0
-    # ...but a with_params sibling at the matching point inherits them
+    other.attach_store(store)
+    refiner.refine(initial, design, engine=other)
+    assert other.cache_info()["imported_evaluations"] == 0
+    assert other.cache_info()["evaluation_misses"] > 0
+    # ...but a with_params sibling at the matching point reads them
     sibling = other.with_params(params=base.params)
-    outcome = _refined(sibling, design, TabuRefiner(iterations=4, seed=1))
+    outcome = refiner.refine(initial, design, engine=sibling)
     assert sibling.cache_info()["imported_evaluations"] > 0
-    assert mapping_fingerprint(outcome.refined) == mapping_fingerprint(
-        _refined(MappingEngine(), design, TabuRefiner(iterations=4, seed=1)).refined
-    )
-    # malformed documents are skipped silently
-    assert base.import_evaluations([{"junk": 1}, 7, None]) == 0
+    assert mapping_fingerprint(outcome.refined) == mapping_fingerprint(cold.refined)
 
 
-def test_corrupt_imported_outcome_degrades_to_recomputation():
+def test_corrupt_imported_outcome_degrades_to_recomputation(tmp_path):
     design = generate_benchmark("spread", 3, core_count=12, seed=1)
     cold = MappingEngine()
     outcome_cold = _refined(cold, design, AnnealingRefiner(iterations=4, seed=0))
@@ -287,10 +290,12 @@ def test_corrupt_imported_outcome_degrades_to_recomputation():
     for document in exported:
         for entry in document["entries"]:
             entry["outcome"] = "not.an|int:junk"
+    store = EngineStateStore(tmp_path / "store")
+    assert store.ingest([], exported)["evaluations"] > 0
     warm = MappingEngine()
-    warm.import_evaluations(exported)
+    warm.attach_store(store)
     outcome_warm = _refined(warm, design, AnnealingRefiner(iterations=4, seed=0))
-    # nothing imported survives parsing -> everything recomputed, identically
+    # nothing stored survives parsing -> everything recomputed, identically
     assert warm.cache_info()["imported_evaluations"] == 0
     assert warm.cache_info()["evaluation_misses"] > 0
     assert mapping_fingerprint(outcome_warm.refined) == \

@@ -137,26 +137,6 @@ def test_release_is_constant_time_under_many_reservations(state):
     assert len(state.reservations) == 100
 
 
-def test_reserve_unrecorded_matches_reserve(mesh, params):
-    recorded = ResourceState(mesh, params, name="recorded")
-    unrecorded = ResourceState(mesh, params, name="unrecorded")
-    for s in (recorded, unrecorded):
-        s.attach_core("a", 0)
-        s.attach_core("b", 3)
-    reservation = recorded.reserve("f1", "a", "b", (0, 1, 3), mbps(500))
-    assignment = unrecorded.reserve_unrecorded("f1", "a", "b", (0, 1, 3), mbps(500))
-    assert assignment == dict(reservation.link_slots)
-    for link in mesh.links:
-        assert unrecorded.link_residual(link) == recorded.link_residual(link)
-        assert (unrecorded.slot_table(link).free_mask
-                == recorded.slot_table(link).free_mask)
-    # Infeasible: None instead of raising, state untouched.
-    assert unrecorded.reserve_unrecorded(
-        "f2", "a", "b", (0, 1, 3), params.link_capacity
-    ) is None
-    assert len(unrecorded.reservations) == 0  # never recorded
-
-
 def test_same_switch_reservation_uses_no_links(state):
     state.attach_core("d", 0)
     reservation = state.reserve("f1", "a", "d", (0,), mbps(100))

@@ -1,88 +1,35 @@
-"""Tests for the vectorized candidate screen (repro.optimize.screen).
+"""Tests for the candidate screen (repro.optimize.screen).
 
-Pins the tentpole contract: screening is a pure *speed* change.  The
-numpy and packed-int backends compute identical admissibility masks, a
-screened refinement run is bit-identical to the unscreened scalar walk
-(same refined cost, same accepted moves, same mapping fingerprint), and
+Pins the contract: screening is a pure *speed* change.  A screened
+refinement run is bit-identical to the unscreened walk through
+``MappingEngine.placement_cost`` (same refined cost, same accepted moves,
+same mapping fingerprint, same exported evaluations), and
 ``CandidateScreen.cost`` agrees with ``MappingEngine.placement_cost``
 candidate for candidate — returning ``None`` exactly where the engine
-raises ``MappingError``.
+raises ``MappingError``.  Its batch verdicts are exact or true lower
+bounds.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-import repro.optimize.screen as screen_mod
+import repro
 from repro.core.engine import MappingEngine
 from repro.exceptions import MappingError
 from repro.gen import generate_benchmark
 from repro.io.serialization import mapping_fingerprint
-from repro.noc.slot_table import hop_mask_matrix, pipelined_free_mask
 from repro.optimize import AnnealingRefiner, TabuRefiner
-from repro.optimize.screen import (
-    NUMPY_MIN_ROWS,
-    CandidateScreen,
-    NumpyMaskBackend,
-    PackedIntMaskBackend,
-    select_backend,
-)
-
-requires_numpy = pytest.mark.skipif(
-    screen_mod._np is None, reason="numpy not installed"
-)
 
 
 def spread10():
     return generate_benchmark("spread", 10, seed=3)
-
-
-# --------------------------------------------------------------------------- #
-# backend equivalence
-# --------------------------------------------------------------------------- #
-def random_matrix(rng, size, rows, max_hops):
-    return [
-        [rng.getrandbits(size) for _ in range(rng.randint(0, max_hops))]
-        for _ in range(rows)
-    ]
-
-
-@requires_numpy
-@pytest.mark.parametrize("size", [8, 32, 64])
-def test_backends_agree_on_random_matrices(size):
-    rng = random.Random(size)
-    numpy_backend = NumpyMaskBackend(size)
-    packed_backend = PackedIntMaskBackend(size)
-    for _ in range(25):
-        matrix = random_matrix(rng, size, rows=rng.randint(0, 12), max_hops=2 * size)
-        expected = [pipelined_free_mask(row, size) for row in matrix]
-        assert packed_backend.admissible_start_masks(matrix) == expected
-        assert numpy_backend.admissible_start_masks(matrix) == expected
-
-
-@requires_numpy
-def test_numpy_backend_rejects_oversized_tables():
-    with pytest.raises(ValueError):
-        NumpyMaskBackend(65)
-
-
-def test_select_backend_prefers_ints_for_narrow_batches():
-    assert isinstance(select_backend(32, rows=1), PackedIntMaskBackend)
-    assert isinstance(select_backend(128), PackedIntMaskBackend)
-    if screen_mod._np is not None:
-        assert isinstance(select_backend(32), NumpyMaskBackend)
-        assert isinstance(select_backend(32, rows=NUMPY_MIN_ROWS), NumpyMaskBackend)
-    else:
-        assert isinstance(select_backend(32), PackedIntMaskBackend)
-
-
-def test_hop_mask_matrix_defaults_untouched_links_to_full():
-    full = (1 << 8) - 1
-    masks = {(0, 1): 0b1010}
-    matrix = hop_mask_matrix(masks, [[(0, 1), (1, 2)], []], full)
-    assert matrix == [[0b1010, full], []]
 
 
 # --------------------------------------------------------------------------- #
@@ -102,9 +49,7 @@ def _refine(refiner_cls, use_cases, result, **kwargs):
     ],
     ids=["annealing", "tabu"],
 )
-def test_screened_refinement_is_bit_identical_to_scalar(
-    refiner_cls, kwargs, monkeypatch
-):
+def test_screened_refinement_is_bit_identical_to_scalar(refiner_cls, kwargs):
     use_cases = spread10()
     result = MappingEngine().map(use_cases)
     scalar, scalar_engine = _refine(
@@ -112,28 +57,15 @@ def test_screened_refinement_is_bit_identical_to_scalar(
     )
     assert scalar_engine.cache_info()["screen_misses"] == 0
 
-    screened_runs = {}
-    # fallback backend (numpy unavailable)
-    monkeypatch.setattr(screen_mod, "_np", None)
-    screened_runs["fallback"] = _refine(refiner_cls, use_cases, result, **kwargs)
-    monkeypatch.undo()
-    if screen_mod._np is not None:
-        # numpy forced into every batch, however narrow
-        monkeypatch.setattr(screen_mod, "NUMPY_MIN_ROWS", 1)
-        screened_runs["numpy"] = _refine(refiner_cls, use_cases, result, **kwargs)
-        monkeypatch.undo()
-
-    for name, (outcome, engine) in screened_runs.items():
-        assert outcome.refined_cost == scalar.refined_cost, name
-        assert outcome.accepted_moves == scalar.accepted_moves, name
-        assert outcome.refined.core_mapping == scalar.refined.core_mapping, name
-        assert mapping_fingerprint(outcome.refined) == mapping_fingerprint(
-            scalar.refined
-        ), name
-        info = engine.cache_info()
-        assert info["screen_misses"] > 0, name
-        # a kernel evaluation *is* a computed evaluation
-        assert info["evaluation_misses"] >= info["screen_misses"], name
+    outcome, engine = _refine(refiner_cls, use_cases, result, **kwargs)
+    assert outcome.refined_cost == scalar.refined_cost
+    assert outcome.accepted_moves == scalar.accepted_moves
+    assert outcome.refined.core_mapping == scalar.refined.core_mapping
+    assert mapping_fingerprint(outcome.refined) == mapping_fingerprint(scalar.refined)
+    info = engine.cache_info()
+    assert info["screen_misses"] > 0
+    # a screen computation *is* a computed evaluation
+    assert info["evaluation_misses"] >= info["screen_misses"]
 
 
 def test_screened_exports_match_scalar_exports():
@@ -238,10 +170,28 @@ def test_screen_counters_surface_in_cache_info():
     assert after["screen_misses"] == mid["screen_misses"]
 
 
-def test_screener_rejects_nothing_it_should_not(monkeypatch):
+def test_screener_rejects_nothing_it_should_not():
     # incomplete placements fall back to the engine's general path
     engine, _spec, result, _groups, screen = _screen_context()
     partial = dict(result.core_mapping)
     partial.pop(sorted(partial)[0])
     report = screen.screen([partial])[0]
     assert report.admissible and report.cost is None and report.lower_bound == 0.0
+
+
+# --------------------------------------------------------------------------- #
+# start-up cost
+# --------------------------------------------------------------------------- #
+def test_import_repro_loads_no_numpy():
+    # Nothing in the library needs numpy; importing it would cost every
+    # process its start-up time and resident memory.
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (source_root, env.get("PYTHONPATH")) if part
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", "import sys, repro; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert completed.stdout.strip() == "False"

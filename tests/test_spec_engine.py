@@ -203,8 +203,40 @@ def test_engine_worst_case_matches_legacy_construction(figure5_use_cases):
 # --------------------------------------------------------------------------- #
 # fixed-placement evaluation
 # --------------------------------------------------------------------------- #
+def _matches_general_path(mapper, engine, use_cases, spec, topology, placement, groups):
+    """Fast path against the constructive path on one complete placement.
+
+    Asserts identical fingerprints and costs where the constructive path
+    succeeds and ``MappingError`` from both where it fails; returns whether
+    the placement was feasible.
+    """
+    try:
+        reference = mapper.map_with_placement(
+            use_cases, topology, placement, groups=groups, validate=False
+        )
+    except MappingError:
+        with pytest.raises(MappingError):
+            engine.evaluate_placement(spec, topology, placement, groups=groups)
+        with pytest.raises(MappingError):
+            engine.placement_cost(spec, topology, placement, groups=groups)
+        return False
+    fast = engine.evaluate_placement(spec, topology, placement, groups=groups)
+    assert mapping_fingerprint(fast) == mapping_fingerprint(reference)
+    flat_cost = sum(
+        cfg.total_bandwidth_hops() for cfg in reference.configurations.values()
+    )
+    assert engine.placement_cost(spec, topology, placement, groups=groups) == flat_cost
+    assert fast.cached_communication_cost == flat_cost
+    return True
+
+
 def test_evaluate_placement_bit_identical_to_general_path():
     import random
+    from dataclasses import replace
+
+    from repro.core.usecase import TrafficClass
+    from repro.noc.failures import FailureSet
+    from repro.noc.topology import Topology
 
     use_cases = generate_benchmark("spread", 5, seed=3)
     mapper = UnifiedMapper()
@@ -218,20 +250,47 @@ def test_evaluate_placement_bit_identical_to_general_path():
     for _ in range(8):
         first, second = rng.sample(cores, 2)
         placement[first], placement[second] = placement[second], placement[first]
-        reference = mapper.map_with_placement(
-            use_cases, result.topology, placement, groups=groups, validate=False
+        assert _matches_general_path(
+            mapper, engine, use_cases, spec, result.topology, placement, groups
         )
-        fast = engine.evaluate_placement(
-            spec, result.topology, placement, groups=groups
-        )
-        assert mapping_fingerprint(fast) == mapping_fingerprint(reference)
-        flat_cost = sum(
-            cfg.total_bandwidth_hops() for cfg in reference.configurations.values()
-        )
-        assert engine.placement_cost(
-            spec, result.topology, placement, groups=groups
-        ) == flat_cost
-        assert fast.cached_communication_cost == flat_cost
+
+    # A degraded fabric: spread-10 provisioned on mesh-3x3, then link 1<->4
+    # and switch 8 fail; random neighbours of the provisioned placement.
+    # The second design makes every other use case best-effort, so both
+    # traffic classes go through the evaluator.
+    spread10 = generate_benchmark("spread", 10, seed=3)
+    mixed = UseCaseSet(
+        [
+            UseCase(use_case.name, flows=[
+                replace(flow, traffic_class=TrafficClass.BEST_EFFORT) if index % 2
+                else flow
+                for flow in use_case.flows
+            ])
+            for index, use_case in enumerate(spread10[name] for name in spread10.names)
+        ],
+        name="spread10-mixed",
+    )
+    mesh = Topology.mesh(3, 3)
+    degraded = mesh.with_failures(FailureSet().mark_link_down(1, 4).mark_switch_down(8))
+    switches = [switch.index for switch in degraded.switches]
+    for use_cases in (spread10, mixed):
+        provisioned = mapper.map_with_placement(use_cases, mesh, {}, validate=False)
+        engine = MappingEngine(params=provisioned.params, config=provisioned.config)
+        spec = engine.compile(use_cases)
+        groups = [list(g) for g in provisioned.groups]
+        cores = sorted(provisioned.core_mapping)
+        feasible = []
+        for _ in range(40):
+            placement = dict(provisioned.core_mapping)
+            if rng.random() < 0.5:
+                first, second = rng.sample(cores, 2)
+                placement[first], placement[second] = placement[second], placement[first]
+            else:
+                placement[rng.choice(cores)] = rng.choice(switches)
+            feasible.append(_matches_general_path(
+                mapper, engine, use_cases, spec, degraded, placement, groups
+            ))
+        assert any(feasible) and not all(feasible)  # both branches exercised
 
 
 def test_evaluate_placement_uses_group_cache(figure5_use_cases):
