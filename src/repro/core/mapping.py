@@ -257,9 +257,11 @@ class _AttemptAccounting:
         self._by_endpoint = worklist.by_endpoint
 
     def _distance(self, first: int, second: int) -> int:
-        # Decide per pair, exactly like UnifiedMapper._switch_distance, so a
-        # partially-positioned custom topology gets identical distances from
-        # the incremental table and the seed's rescan.
+        """Hop distance between two switches (Manhattan on grids).
+
+        Decided per pair, so a partially-positioned custom topology falls
+        back to the shortest hop count only where a position is missing.
+        """
         a = self._positions[first]
         b = self._positions[second]
         if a is not None and b is not None:
@@ -301,17 +303,19 @@ class UnifiedMapper:
             OrderedDict()
         )
         #: pristine (no cores, no reservations) ResourceState per topology;
-        #: every attempt copies the template instead of rebuilding the link
-        #: and slot tables, and the copies share the template's path->links
-        #: memo, so derived routing state carries over across the outer
-        #: loop's growing mesh attempts.
+        #: every attempt copies the template once per group, and the copies
+        #: share the template's link set and path->links memo, so derived
+        #: routing state carries over across the outer loop's growing mesh
+        #: attempts.
         self._pristine_cache: "OrderedDict[int, Tuple[Topology, ResourceState]]" = (
             OrderedDict()
         )
         #: live accounting of the attempt currently in flight (None outside)
         self._acct: Optional[_AttemptAccounting] = None
-        #: (bandwidth, latency) -> hop budget memo (pure function of params)
-        self._hop_budget_cache: Dict[Tuple[float, float], Optional[int]] = {}
+        #: (latency, slots owned) -> hop budget memo: the only inputs of
+        #: latency_hop_budget besides params, so it stays as small as the
+        #: number of distinct keys however much the traffic varies
+        self._hop_budget_cache: Dict[Tuple[float, int], int] = {}
         #: id(plan) -> (plan, per-entry hop budgets) for engine evaluation
         #: plans; the entry pins the plan list so its id cannot be recycled
         #: while the entry exists, and the identity check guards against a
@@ -603,11 +607,12 @@ class UnifiedMapper:
         * with a complete placement the group's resource state evolves
           independently of every other group, so evaluating it alone is
           exact (this is what makes per-group caching in the engine sound);
-        * that state lives in dicts that default to a fresh group state —
-          every residual at link capacity, every slot table free — instead
-          of a copied topology-wide :class:`ResourceState`, and every float
-          operation is ``ResourceState.path_cost``'s or ``_commit``'s, in
-          the same order, so ranking ties resolve identically;
+        * that state lives in plain dicts that default to a fresh group
+          state — every residual at link capacity, every slot table free,
+          the representation :class:`ResourceState` also uses — instead of
+          a ``ResourceState`` copy, and every float operation is
+          ``ResourceState.path_cost``'s or ``_commit``'s, in the same
+          order, so ranking ties resolve identically;
         * when a pair has a single candidate path, ranking by cost is
           skipped: the reservation checks are a strict superset of the
           path-cost feasibility checks, so reserving directly accepts and
@@ -901,15 +906,14 @@ class UnifiedMapper:
         """Maximum hop count allowed by the pair's latency constraint."""
         if not self.config.check_latency or not req.guaranteed:
             return None
-        key = (req.bandwidth, req.latency)
-        cache = self._hop_budget_cache
-        if key in cache:
-            return cache[key]
         owned = slots_needed_cached(
             req.bandwidth, self.params.link_capacity, self.params.slot_table_size
         )
-        budget = latency_hop_budget(req.latency, owned, self.params)
-        cache[key] = budget
+        key = (req.latency, owned)
+        cache = self._hop_budget_cache
+        budget = cache.get(key)
+        if budget is None:
+            budget = cache[key] = latency_hop_budget(req.latency, owned, self.params)
         return budget
 
     def _choose_placement(
@@ -1010,9 +1014,7 @@ class UnifiedMapper:
         ]
         if anchor is None:
             anchor = self._centroid_switch(topology, core_mapping)
-        distances = {
-            index: self._switch_distance(topology, anchor, index) for index in candidates
-        }
+        distances = {index: acct._distance(anchor, index) for index in candidates}
         # Larger topologies are only useful if the cores actually spread out
         # over them (that is what adds link capacity between the cores), so
         # aim for an inter-core spacing proportional to the available area.
@@ -1049,15 +1051,6 @@ class UnifiedMapper:
         estimated = max(cores_total, getattr(self, "_core_count_hint", cores_total))
         ratio = topology.switch_count / estimated
         return max(1, int(round(ratio ** 0.5)))
-
-    @staticmethod
-    def _switch_distance(topology: Topology, first: int, second: int) -> int:
-        """Hop distance between two switches (Manhattan on grids)."""
-        a = topology.switch(first)
-        b = topology.switch(second)
-        if a.position is not None and b.position is not None:
-            return abs(a.row - b.row) + abs(a.col - b.col)
-        return topology.shortest_hop_count(first, second)
 
     @staticmethod
     def _centroid_switch(topology: Topology, core_mapping: Mapping[str, int]) -> int:

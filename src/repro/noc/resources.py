@@ -14,6 +14,16 @@ group, which shares a single configuration):
   switch → core), which bound how much traffic a single core can source or
   sink regardless of how large the mesh grows.
 
+Link state is stored only for the links a reservation touched or whose slot
+table :meth:`ResourceState.slot_table` handed out; every other link reads as
+pristine — residual at link capacity, every slot free.  A fresh state
+therefore holds no per-link data at all, and :meth:`ResourceState.copy`
+costs O(touched links) instead of O(all links × slot-table size), which is
+what lets Algorithm 2 give every group of every topology attempt its own
+state on a 16x16 mesh.  This is the same lazily-defaulted representation the
+fixed-placement kernel (``UnifiedMapper.evaluate_group_fixed``) keeps in
+plain dicts.
+
 Reservations are returned as :class:`PathReservation` records so they can be
 released again (needed by the refinement passes that rip up and re-route
 flows).
@@ -22,10 +32,11 @@ flows).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ResourceError, TopologyError
 from repro.noc.slot_table import (
+    SlotReservation,
     SlotTable,
     lowest_set_bits,
     pipelined_free_mask,
@@ -98,14 +109,19 @@ class ResourceState:
         self.topology = topology
         self.params = params
         self.name = name
-        capacity = params.link_capacity
         #: link capacity, cached because the params property recomputes it
-        self._capacity = capacity
-        links = topology.links
-        self._link_residual: Dict[Link, float] = {link: capacity for link in links}
-        self._slot_tables: Dict[Link, SlotTable] = {
-            link: SlotTable(params.slot_table_size) for link in links
-        }
+        self._capacity = params.link_capacity
+        #: the free mask of an untouched link's slot table
+        self._full_mask = (1 << params.slot_table_size) - 1
+        #: the topology's links (pure function of the topology, so copies
+        #: share the same set); an unknown or failed link is not in it
+        self._links: FrozenSet[Link] = frozenset(topology.links)
+        #: residual bandwidth of the links a reservation touched; any other
+        #: link of ``_links`` has its full capacity
+        self._link_residual: Dict[Link, float] = {}
+        #: slot tables of the links a reservation touched or ``slot_table``
+        #: handed out; any other link of ``_links`` has every slot free
+        self._slot_tables: Dict[Link, SlotTable] = {}
         #: core name -> switch index (shared mapping, mirrored in every state)
         self._core_switch: Dict[str, int] = {}
         #: switch index -> number of attached cores (incremental counter, so
@@ -186,19 +202,26 @@ class ResourceState:
     # ------------------------------------------------------------------ #
     # residual queries
     # ------------------------------------------------------------------ #
+    def _check_link(self, link: Link) -> None:
+        if link not in self._links:
+            raise TopologyError(f"no link {link} in topology {self.topology.name!r}")
+
     def link_residual(self, link: Link) -> float:
         """Residual bandwidth (bytes/s) of a directed inter-switch link."""
-        try:
-            return self._link_residual[link]
-        except KeyError:
-            raise TopologyError(f"no link {link} in topology {self.topology.name!r}") from None
+        self._check_link(link)
+        return self._link_residual.get(link, self._capacity)
 
     def slot_table(self, link: Link) -> SlotTable:
-        """The TDMA slot table of a directed inter-switch link."""
-        try:
-            return self._slot_tables[link]
-        except KeyError:
-            raise TopologyError(f"no link {link} in topology {self.topology.name!r}") from None
+        """The live TDMA slot table of a directed inter-switch link.
+
+        An untouched link gets its (empty) table materialised here, so
+        mutations made through the returned table are the state's own.
+        """
+        self._check_link(link)
+        table = self._slot_tables.get(link)
+        if table is None:
+            table = self._slot_tables[link] = SlotTable(self.params.slot_table_size)
+        return table
 
     def ingress_residual(self, core_name: str) -> float:
         """Residual bandwidth of the core's NI injection (core → switch) link."""
@@ -219,26 +242,29 @@ class ResourceState:
         """All currently held path reservations (in reservation order)."""
         return tuple(self._reservations.values())
 
+    def _residuals(self) -> List[Tuple[Link, float]]:
+        """Every link's residual bandwidth, in topology link order."""
+        capacity = self._capacity
+        residual = self._link_residual
+        return [(link, residual.get(link, capacity)) for link in self.topology.links]
+
     def max_link_utilization(self) -> float:
         """Highest bandwidth utilisation over all inter-switch links (0–1)."""
         capacity = self._capacity
-        if not self._link_residual:
+        residuals = self._residuals()
+        if not residuals:
             return 0.0
-        return max(
-            (capacity - residual) / capacity for residual in self._link_residual.values()
-        )
+        return max((capacity - residual) / capacity for _link, residual in residuals)
 
     def total_reserved_bandwidth(self) -> float:
         """Total bandwidth-hops reserved on inter-switch links (bytes/s)."""
         capacity = self._capacity
-        return sum(capacity - residual for residual in self._link_residual.values())
+        return sum(capacity - residual for _link, residual in self._residuals())
 
     def link_loads(self) -> Dict[Link, float]:
         """Reserved bandwidth (bytes/s) per directed inter-switch link."""
         capacity = self._capacity
-        return {
-            link: capacity - residual for link, residual in self._link_residual.items()
-        }
+        return {link: capacity - residual for link, residual in self._residuals()}
 
     # ------------------------------------------------------------------ #
     # feasibility, cost, reservation
@@ -251,7 +277,7 @@ class ResourceState:
         links: List[Link] = []
         for source, destination in zip(key, key[1:]):
             link = (source, destination)
-            if link not in self._link_residual:
+            if link not in self._links:
                 raise TopologyError(
                     f"path {tuple(switch_path)} uses non-existent link {link}"
                 )
@@ -324,8 +350,9 @@ class ResourceState:
             return None
         links = self._path_links(switch_path)
         link_residual = self._link_residual
+        capacity = self._capacity
         for link in links:
-            if link_residual[link] < threshold:
+            if link_residual.get(link, capacity) < threshold:
                 return None
         if not guaranteed or not links:
             return links, {}
@@ -336,9 +363,12 @@ class ResourceState:
         # Rotate each hop's free mask into the start-slot frame and AND them:
         # the admissible-start set of the whole path in a few int ops.
         slot_tables = self._slot_tables
-        admissible = pipelined_free_mask(
-            [slot_tables[link]._free_mask for link in links], size
-        )
+        full = self._full_mask
+        masks = []
+        for link in links:
+            table = slot_tables.get(link)
+            masks.append(full if table is None else table._free_mask)
+        admissible = pipelined_free_mask(masks, size)
         if required_slots is not None:
             if len(required_slots) < needed:
                 return None
@@ -371,10 +401,13 @@ class ResourceState:
         """
         slot_tables = self._slot_tables
         for link, slots in assignment.items():
+            table = slot_tables.get(link)
+            if table is None:
+                continue
             mask = 0
             for slot in slots:
                 mask |= 1 << slot
-            if mask & ~slot_tables[link]._free_mask:
+            if mask & ~table._free_mask:
                 return False
         return True
 
@@ -400,16 +433,19 @@ class ResourceState:
         needed = self.slots_for_bandwidth(bandwidth) if guaranteed else 0
         link_residual = self._link_residual
         slot_tables = self._slot_tables
+        capacity = self._capacity
+        size = self.params.slot_table_size
         bandwidth_weight = config.bandwidth_weight
         slot_weight = config.slot_weight
         threshold = bandwidth - 1e-9
         for link in links:
-            residual = link_residual[link]
+            residual = link_residual.get(link, capacity)
             if residual < threshold:
                 return INFEASIBLE_COST
             cost += bandwidth_weight * (bandwidth / (residual if residual > 1e-9 else 1e-9))
             if guaranteed:
-                free = slot_tables[link]._free_mask.bit_count()
+                table = slot_tables.get(link)
+                free = size if table is None else table._free_mask.bit_count()
                 if free < needed:
                     return INFEASIBLE_COST
                 # ``free >= needed >= 1`` here, so no clamping is required.
@@ -482,31 +518,55 @@ class ResourceState:
         self._ingress_residual[source_core] -= bandwidth
         self._egress_residual[destination_core] -= bandwidth
         link_residual = self._link_residual
+        capacity = self._capacity
         for link in links:
-            link_residual[link] -= bandwidth
+            link_residual[link] = link_residual.get(link, capacity) - bandwidth
         slot_tables = self._slot_tables
+        size = self.params.slot_table_size
         for link, slots in assignment.items():
+            table = slot_tables.get(link)
+            if table is None:
+                table = slot_tables[link] = SlotTable(size)
             # The assignment was planned against the current table state, so
             # the unchecked grant path is safe.
-            slot_tables[link]._grant(flow_id, slots)
+            table._grant(flow_id, slots)
 
     def release(self, reservation: PathReservation) -> None:
         """Return a reservation's bandwidth and slots to the free pool.
+
+        Frees exactly the reservation's own slots, so another reservation of
+        the same flow id keeps its slots.  Raises :class:`ResourceError`,
+        leaving the state unchanged, when the reservation is not held or a
+        slot of it is no longer owned by its flow (e.g. released through a
+        live :meth:`slot_table`).
 
         O(1) for reservations returned by :meth:`reserve` on this state (or
         carried into a :meth:`copy`); an equal-but-distinct record falls
         back to a linear scan so historical equality semantics still hold.
         """
-        held = self._reservations.pop(id(reservation), None)
+        key = id(reservation)
+        held = self._reservations.get(key)
         if held is None:
             for key, candidate in self._reservations.items():
                 if candidate == reservation:
-                    held = self._reservations.pop(key)
+                    held = candidate
                     break
         if held is None:
             raise ResourceError(
                 f"reservation for {reservation.flow_id!r} is not held by state {self.name!r}"
             )
+        # Validate every link before mutating anything.
+        flow_id = held.flow_id
+        slot_releases = []
+        for link, slots in held.link_slots.items():
+            table = self._slot_tables.get(link)
+            if table is None or any(table.owner_of(slot) != flow_id for slot in slots):
+                raise ResourceError(
+                    f"slots {slots} on link {link} are not all owned by {flow_id!r} "
+                    f"in state {self.name!r}; refusing to release"
+                )
+            slot_releases.append((table, SlotReservation(flow_id, slots)))
+        del self._reservations[key]
         self._version += 1
         self._last_plan = None
         links = self._path_links(held.switch_path)
@@ -514,17 +574,22 @@ class ResourceState:
         self._egress_residual[held.destination_core] += held.bandwidth
         for link in links:
             self._link_residual[link] += held.bandwidth
-        for link, slots in held.link_slots.items():
-            table = self._slot_tables[link]
-            table.release_flow(held.flow_id)
+        for table, slot_reservation in slot_releases:
+            table.release(slot_reservation)
 
     def copy(self, name: Optional[str] = None) -> "ResourceState":
-        """An independent deep copy (same topology/params objects)."""
+        """An independent deep copy (same topology/params objects).
+
+        Only the touched links' residuals and slot tables are copied, so a
+        pristine state copies in O(1) of the topology size.
+        """
         duplicate = ResourceState.__new__(ResourceState)
         duplicate.topology = self.topology
         duplicate.params = self.params
         duplicate.name = name or self.name
         duplicate._capacity = self._capacity
+        duplicate._full_mask = self._full_mask
+        duplicate._links = self._links
         duplicate._link_residual = dict(self._link_residual)
         duplicate._slot_tables = {
             link: table.copy() for link, table in self._slot_tables.items()

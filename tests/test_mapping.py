@@ -251,3 +251,32 @@ def test_worst_case_fails_when_aggregate_exceeds_core_capacity():
     UnifiedMapper().map(use_cases)
     with pytest.raises(MappingError):
         WorstCaseMapper().map(use_cases)
+
+
+def test_hop_budget_memo_holds_one_entry_per_latency_and_slot_count():
+    # A hop budget is a pure function of (latency, slots owned), so a
+    # traffic sweep that re-characterises bandwidths on a long-lived mapper
+    # must leave the memo at the number of distinct keys, not grow it with
+    # every new bandwidth.
+    from repro.core.usecase import TrafficClass
+    from repro.gen import generate_benchmark
+    from repro.noc.slot_table import slots_needed
+    from repro.ops.events import apply_traffic
+
+    base = generate_benchmark("spread", 6, seed=3)
+    mapper = UnifiedMapper()
+    params = mapper.params
+    keys = set()
+    for scale in (1.0, 0.97, 0.93, 0.9, 0.85, 0.8):
+        use_cases, _changed = apply_traffic(base, {
+            (use_case.name, flow.source, flow.destination): flow.bandwidth * scale
+            for use_case in base for flow in use_case.flows
+        })
+        mapper.map(use_cases)
+        keys.update(
+            (flow.latency, slots_needed(flow.bandwidth, params.link_capacity,
+                                        params.slot_table_size))
+            for use_case in use_cases for flow in use_case.flows
+            if flow.traffic_class == TrafficClass.GUARANTEED
+        )
+    assert len(mapper._hop_budget_cache) == len(keys)

@@ -17,6 +17,7 @@ import pytest
 
 from repro import UnifiedMapper
 from repro.gen import generate_benchmark, set_top_box_design
+from repro.noc.topology import Topology
 
 
 def mapping_fingerprint(result) -> str:
@@ -88,3 +89,27 @@ def test_map_with_placement_round_trips_the_mapping():
     )
     assert replayed.core_mapping == result.core_mapping
     assert mapping_fingerprint(replayed) == mapping_fingerprint(result)
+
+
+def test_topology_growth_fingerprint_pinned():
+    # Six topology attempts (mesh-2x2 -> mesh-4x5): every failed attempt
+    # copies and discards a full set of group states.
+    result = UnifiedMapper().map(generate_benchmark("bottleneck", 24, seed=779096883))
+    assert result.attempted_topologies == (
+        "mesh-2x2", "mesh-2x3", "mesh-3x3", "mesh-3x4", "mesh-4x4", "mesh-4x5",
+    )
+    assert mapping_fingerprint(result) == (
+        "05f4e7090fbb3478fb3d3c96ae2635fe217da1f430ee7588156d7bbd2f51db5a"
+    )
+
+
+def test_mesh8x8_free_placement_fingerprint_pinned():
+    # 60 use cases of 48 cores placed from scratch on mesh-8x8: sixty group
+    # states, each touching a small part of the 224 links.
+    use_cases = generate_benchmark(
+        "spread", 60, core_count=48, seed=3, flows_per_use_case=(8, 14)
+    )
+    result = UnifiedMapper().map_with_placement(use_cases, Topology.mesh(8, 8), {})
+    assert mapping_fingerprint(result) == (
+        "c43c4c552be3be714db9a8039cfe4739ee6b3d4ffccc7de512e20b5aec61bb11"
+    )

@@ -1,6 +1,7 @@
 """Tests for per-use-case resource state, routing and deadlock helpers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import MapperConfig, NoCParameters, ResourceError, RoutingError, TopologyError
 from repro.noc.deadlock import (
@@ -9,8 +10,10 @@ from repro.noc.deadlock import (
     is_west_first_path,
     is_xy_path,
 )
+from repro.noc.failures import FailureSet
 from repro.noc.resources import INFEASIBLE_COST, ResourceState
 from repro.noc.routing import PathSelector, mesh_minimal_paths, xy_path
+from repro.noc.slot_table import SlotTable
 from repro.noc.topology import Topology
 from repro.units import mbps
 
@@ -201,6 +204,231 @@ def test_link_loads_and_total_reserved(state):
     loads = state.link_loads()
     assert loads[(0, 1)] == pytest.approx(mbps(100))
     assert state.total_reserved_bandwidth() == pytest.approx(mbps(200))  # two links
+
+
+def test_release_frees_only_the_released_reservations_slots(state, params):
+    # Two reservations of one flow id on the same links: releasing one must
+    # leave the other's slots reserved, matching the residual still charged.
+    first = state.reserve("f", "a", "b", (0, 1, 3), mbps(100))
+    second = state.reserve("f", "a", "b", (0, 1, 3), mbps(100))
+    assert state.slot_table((0, 1)).used_count == 4
+    state.release(first)
+    table = state.slot_table((0, 1))
+    assert table.used_count == 2
+    assert table.slots_owned_by("f") == second.link_slots[(0, 1)]
+    assert state.link_residual((0, 1)) == params.link_capacity - mbps(100)
+    state.release(second)
+    assert table.used_count == 0
+
+
+def test_failed_release_leaves_the_state_unchanged(state, params):
+    reservation = state.reserve("f", "a", "b", (0, 1, 3), mbps(100))
+    # Free the second hop's slots behind the state's back.
+    state.slot_table((1, 3)).release_flow("f")
+    with pytest.raises(ResourceError):
+        state.release(reservation)
+    assert state.reservations == (reservation,)
+    assert state.link_residual((0, 1)) == params.link_capacity - mbps(100)
+    assert state.slot_table((0, 1)).slots_owned_by("f") == reservation.link_slots[(0, 1)]
+    assert state.ingress_residual("a") == params.link_capacity - mbps(100)
+
+
+def test_unknown_and_failed_links_raise_topology_error(params):
+    pristine = Topology.mesh(2, 2)
+    degraded = pristine.with_failures(FailureSet().mark_link_down(0, 1))
+    cases = (
+        (pristine, (0, 3)),   # the diagonal: both switches exist, no link
+        (pristine, (4, 5)),   # no such switches
+        (degraded, (0, 1)),   # failed
+    )
+    for topology, link in cases:
+        state = ResourceState(topology, params)
+        with pytest.raises(TopologyError):
+            state.link_residual(link)
+        with pytest.raises(TopologyError):
+            state.slot_table(link)
+        if link[1] < topology.switch_count:
+            state.attach_core("a", link[0])
+            state.attach_core("b", link[1])
+            with pytest.raises(TopologyError):
+                state.reserve("f", "a", "b", link, mbps(10))
+            assert state.reservations == ()
+
+
+def test_copying_a_pristine_state_builds_no_slot_table(monkeypatch, params):
+    # A group state holds only the links it reserved: neither building nor
+    # copying the pristine template of a 16x16 mesh may build its 960 tables.
+    built = []
+    original = SlotTable.__init__
+
+    def counting_init(self, size):
+        built.append(size)
+        original(self, size)
+
+    monkeypatch.setattr(SlotTable, "__init__", counting_init)
+    topology = Topology.mesh(16, 16)
+    duplicate = ResourceState(topology, params, name="pristine").copy("group-0")
+    assert built == []
+    assert duplicate.link_residual((0, 1)) == params.link_capacity
+    assert duplicate.max_link_utilization() == 0.0
+    assert len(duplicate.link_loads()) == topology.link_count == 960
+
+
+#: core -> switch on a 2x2 mesh, and the paths the model test reserves along
+_MODEL_CORES = {"a": 0, "b": 3, "c": 1}
+_MODEL_PATHS = (
+    ("a", "b", (0, 1, 3)), ("a", "b", (0, 2, 3)), ("b", "a", (3, 1, 0)),
+    ("b", "a", (3, 2, 0)), ("a", "c", (0, 1)), ("c", "b", (1, 3)),
+    ("c", "a", (1, 0)), ("a", "a", (0,)),
+)
+_MODEL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("attach"), st.sampled_from(sorted(_MODEL_CORES))),
+        st.tuples(
+            st.just("reserve"),
+            st.integers(0, len(_MODEL_PATHS) - 1),  # path
+            st.integers(1, 8),                       # bandwidth in slots
+            st.booleans(),                           # guaranteed
+            st.sampled_from(["f", "g"]),             # flow id (reused on purpose)
+            st.booleans(),                           # probe can_reserve first
+        ),
+        st.tuples(st.just("release"), st.integers(0, 7)),
+        st.tuples(st.just("copy")),
+        st.tuples(st.just("touch"), st.integers(0, 7)),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+def _model_view(state, links):
+    """(link residuals, free masks, NI residuals) read through the public API.
+
+    Slot tables are read from a throwaway copy, so the check itself never
+    materialises a table in the state under test.
+    """
+    probe = state.copy("probe")
+    residuals = {link: state.link_residual(link) for link in links}
+    masks = {link: probe.slot_table(link).free_mask for link in links}
+    ni = {
+        core: (state.ingress_residual(core), state.egress_residual(core))
+        for core in state.core_mapping
+    }
+    return residuals, masks, ni
+
+
+def _model_expectation(held, cores, links, capacity, size):
+    full = (1 << size) - 1
+    residuals = {link: capacity for link in links}
+    masks = dict.fromkeys(links, full)
+    ni = {core: [capacity, capacity] for core in cores}
+    for reservation in held:
+        path = reservation.switch_path
+        for link in zip(path, path[1:]):
+            residuals[link] -= reservation.bandwidth
+        for link, slots in reservation.link_slots.items():
+            for slot in slots:
+                masks[link] &= ~(1 << slot)
+        ni[reservation.source_core][0] -= reservation.bandwidth
+        ni[reservation.destination_core][1] -= reservation.bandwidth
+    return residuals, masks, {core: tuple(pair) for core, pair in ni.items()}
+
+
+def _model_plan(held, cores, all_links, path, bandwidth, guaranteed, capacity, size):
+    """Independent feasibility model: the starting slots a reservation gets,
+    ``()`` when it needs none, or ``None`` when it must fail."""
+    source, destination, switches = path
+    if cores.get(source) != switches[0] or cores.get(destination) != switches[-1]:
+        return None
+    residuals, masks, ni = _model_expectation(held, cores, all_links, capacity, size)
+    if ni[source][0] < bandwidth or ni[destination][1] < bandwidth:
+        return None
+    links = _model_links(switches)
+    if any(residuals[link] < bandwidth for link in links):
+        return None
+    if not guaranteed or not links:
+        return ()
+    needed = round(bandwidth / (capacity / size))
+    starts = [
+        start for start in range(size)
+        if all(masks[link] >> ((start + hop) % size) & 1 for hop, link in enumerate(links))
+    ]
+    return tuple(starts[:needed]) if len(starts) >= needed else None
+
+
+def _model_links(switches):
+    return list(zip(switches, switches[1:]))
+
+
+@pytest.mark.parametrize("failed", [False, True], ids=["pristine", "failed-link"])
+@settings(max_examples=60, deadline=None)
+@given(attached=st.lists(st.sampled_from(sorted(_MODEL_CORES)), max_size=4), ops=_MODEL_OPS)
+def test_resource_state_matches_reservation_model(failed, attached, ops):
+    # Residuals and free masks must equal what the held reservations imply,
+    # on every link, after every step; copies are frozen snapshots.  Most
+    # sequences start with some cores attached, so that reservations (often
+    # several of one flow id on shared links) succeed and get released.
+    # Bandwidths are whole slots, so every residual is an exact float.
+    params = NoCParameters()
+    capacity = params.link_capacity
+    size = params.slot_table_size
+    topology = Topology.mesh(2, 2)
+    if failed:
+        topology = topology.with_failures(FailureSet().mark_link_down(1, 3))
+    links = topology.links
+    state = ResourceState(topology, params, name="model")
+    cores = {}
+    held = []
+    snapshots = []
+    for op in [("attach", core) for core in attached] + ops:
+        kind = op[0]
+        if kind == "attach":
+            state.attach_core(op[1], _MODEL_CORES[op[1]])
+            cores[op[1]] = _MODEL_CORES[op[1]]
+        elif kind == "reserve":
+            _kind, index, slots, guaranteed, flow_id, probe = op
+            path = _MODEL_PATHS[index]
+            bandwidth = slots * (capacity / size)
+            if not all(topology.has_link(*link) for link in _model_links(path[2])):
+                with pytest.raises((ResourceError, TopologyError)):
+                    state.reserve(flow_id, *path, bandwidth, guaranteed=guaranteed)
+                continue
+            expected = _model_plan(held, cores, links, path, bandwidth, guaranteed,
+                                   capacity, size)
+            if probe:
+                assert state.can_reserve(*path, bandwidth, guaranteed=guaranteed) == (
+                    expected is not None
+                )
+            if expected is None:
+                with pytest.raises(ResourceError):
+                    state.reserve(flow_id, *path, bandwidth, guaranteed=guaranteed)
+                continue
+            reservation = state.reserve(flow_id, *path, bandwidth, guaranteed=guaranteed)
+            # The lowest admissible starts, advanced one slot per hop.
+            hops = _model_links(path[2]) if expected else []
+            assert reservation.link_slots == {
+                link: tuple(sorted((start + hop) % size for start in expected))
+                for hop, link in enumerate(hops)
+            }
+            held.append(reservation)
+        elif kind == "release":
+            if not held:
+                continue
+            reservation = held.pop(op[1] % len(held))
+            state.release(reservation)
+            if reservation not in held:  # an equal record would release its twin
+                with pytest.raises(ResourceError):
+                    state.release(reservation)
+        elif kind == "copy":
+            snapshots.append((state.copy(f"copy-{len(snapshots)}"), _model_view(state, links)))
+        else:
+            # Hand out a live table: the link's state is materialised, not changed.
+            state.slot_table(links[op[1] % len(links)])
+        assert _model_view(state, links) == _model_expectation(
+            held, cores, links, capacity, size
+        )
+        for duplicate, view in snapshots:
+            assert _model_view(duplicate, links) == view
 
 
 # --------------------------------------------------------------------------- #
