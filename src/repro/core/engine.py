@@ -940,7 +940,11 @@ class MappingEngine:
 
         The evaluation twin of :meth:`export_results`: entries materialised
         from the attached store are excluded, so the corpus
-        stays proportional to distinct evaluations.  Entries are grouped
+        stays proportional to distinct evaluations.  The export covers
+        everything computed since construction (still in the evaluation
+        cache), not since the last export, so export each engine once —
+        a long-lived engine exported after every task re-serialises its
+        whole history each time.  Entries are grouped
         into one document per (spec, grouping, topology) context — the unit
         :class:`~repro.jobs.store.EngineStateStore` shards by — each
         carrying the serialisable key components (``spec_hash``,
@@ -988,7 +992,9 @@ class MappingEngine:
 
         Results that were read from the attached store are excluded — the
         store already holds them, and re-exporting would snowball it with
-        the whole prior corpus.
+        the whole prior corpus.  Like :meth:`export_evaluations`, the export
+        covers everything computed since construction, so export each
+        engine once.
 
         Each entry carries the cache key components (``spec_hash``,
         ``groups``, ``method``) plus the :func:`mapping_result_to_dict`

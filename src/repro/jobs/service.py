@@ -678,8 +678,8 @@ def inbox_status(inbox: Union[str, Path]) -> Dict:
                 "time": state.time,
                 "failures": state.failures.describe(),
                 "traffic_overrides": len(state.traffic),
-                "enqueued": len(state.enqueued),
-                "last_enqueued": state.enqueued[-1] if state.enqueued else None,
+                "enqueued": state.counts.get("enqueue", 0),
+                "last_enqueued": state.last_enqueued,
             }
     return status
 

@@ -853,9 +853,9 @@ def job_hash(job: JobSpec, base_dir: Union[str, Path, None] = None) -> str:
 
 
 def save_job(job: JobSpec, path: Union[str, Path]) -> Path:
-    """Write one job spec to a JSON file; returns the path written."""
+    """Write one job spec to a compact JSON file; returns the path written."""
     target = Path(path)
-    target.write_text(json.dumps(job_to_dict(job), indent=2))
+    target.write_text(json.dumps(job_to_dict(job)))
     return target
 
 

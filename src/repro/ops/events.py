@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 EVENTS_SCHEMA = "repro/events@1"
-MONITOR_STATE_SCHEMA = "repro/monitor-state@1"
+MONITOR_STATE_SCHEMA = "repro/monitor-state@2"
 
 #: (use_case, source, destination) — the identity of one overridable flow
 _FlowKey = Tuple[str, str, str]
@@ -165,7 +165,9 @@ class MonitorState:
         #: active overrides: (use_case, source, destination) -> bytes/s
         self.traffic: Dict[_FlowKey, float] = {}
         self.counts: Dict[str, int] = {}
-        self.enqueued: List[Dict] = []
+        #: the most recent ``enqueue`` event's record; ``counts["enqueue"]``
+        #: holds how many there were, so state stays constant-size
+        self.last_enqueued: Optional[Dict] = None
         #: type of the most recent event; a log whose last event is not an
         #: ``enqueue`` was interrupted between logging deltas and enqueuing
         #: the repair (not part of :meth:`to_dict` — it is derivable)
@@ -197,13 +199,13 @@ class MonitorState:
             else:
                 self.traffic[key] = float(event["bandwidth"])
         elif kind == "enqueue":
-            self.enqueued.append({
+            self.last_enqueued = {
                 "file": event["file"],
                 "job_hash": event["job_hash"],
                 "kind": event["kind"],
                 "action": event["action"],
                 "unrepairable": list(event.get("unrepairable", ())),
-            })
+            }
         else:
             raise SerializationError(f"unknown monitor event type {kind!r}")
 
@@ -223,7 +225,7 @@ class MonitorState:
             "failures": self.failures.to_dict(),
             "traffic": self.traffic_rows(),
             "events": dict(sorted(self.counts.items())),
-            "enqueued": list(self.enqueued),
+            "last_enqueued": self.last_enqueued,
         }
 
 

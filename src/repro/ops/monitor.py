@@ -14,11 +14,15 @@ cases, the enqueued job additionally carries the full remap
 mapping in the same envelope.
 
 Everything the monitor computes locally (the baseline, the repairability
-probe) flows through an engine attached to the shared
+probe) flows through engines attached to the shared
 :class:`~repro.jobs.store.EngineStateStore`, so the enqueued job's
 execution warm-starts from it — a monitor-driven repair performs **zero**
 evaluation misses on the serve side and is bit-identical to a
-directly-constructed repair job for the same failure set.
+directly-constructed repair job for the same failure set.  Each poll's
+probe runs on a fresh store-attached engine, the discipline
+:func:`~repro.jobs.runner.execute_job` follows, and the store ingests only
+what that poll computed, so a poll costs the same after a thousand events
+as after one.
 
 Time comes exclusively from the injectable :class:`~repro.ops.clock.Clock`
 (the loop never touches :func:`time.sleep`), which is what lets the whole
@@ -114,6 +118,8 @@ class Monitor:
         self.state_path = self.state_dir / "state.json"
         #: crash-replay: reconstruct everything we knew from the log
         self.log = EventLog(self.events_path)
+        #: holds the baseline only; every poll's repair runs on a fresh
+        #: engine that reports its hits and misses into this one's counters
         self.engine = MappingEngine(params=self.params, config=self.config)
         if store_path is not None:
             from repro.jobs.store import EngineStateStore
@@ -155,6 +161,9 @@ class Monitor:
             )
         else:
             self._baseline = self.engine.map(design, groups=groups)
+            if self._store is not None:
+                # the serve-side job maps the same baseline: store it once
+                self._store.ingest(self.engine.export_results())
         return self._baseline
 
     def _validate_observation(self, observation: Observation) -> None:
@@ -270,9 +279,10 @@ class Monitor:
 
         The local :func:`repair_mapping` run decides ``action``: a clean
         splice enqueues a plain repair; unrepairable use cases escalate to
-        a full-remap job (``compare_full_remap=True``).  Its evaluations go
-        through the store-attached engine, which is exactly what makes the
-        serve-side execution of the enqueued job warm.  ``delta`` is
+        a full-remap job (``compare_full_remap=True``).  It runs on a fresh
+        engine attached to the shared store, whose exports — exactly what
+        this poll computed — the store then ingests; that is what makes
+        the serve-side execution of the enqueued job warm.  ``delta`` is
         ``None`` on the :meth:`recover` path, where the deltas are already
         in the log and only the enqueue is owed.
         """
@@ -284,17 +294,19 @@ class Monitor:
         else:
             current, changed = design, ()
         groups = None if self.groups is None else [list(g) for g in self.groups]
+        engine = MappingEngine(params=self.params, config=self.config)
+        engine._counters = self.engine._counters
+        if self._store is not None:
+            engine.attach_store(self._store)
         outcome = repair_mapping(
-            self.engine, current, baseline, state.failures,
+            engine, current, baseline, state.failures,
             groups=groups, changed_use_cases=changed,
         )
         unrepairable = outcome.repaired is None
         if self._store is not None:
             # Persist what the probe computed so the serve-side execution
             # of the job below starts warm (zero evaluation misses).
-            self._store.ingest(
-                self.engine.export_results(), self.engine.export_evaluations()
-            )
+            self._store.ingest(engine.export_results(), engine.export_evaluations())
 
         job = RepairJob(
             use_cases=self.source,

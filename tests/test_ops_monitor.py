@@ -17,6 +17,10 @@ Pins the tentpole contracts of the ops layer:
 * a monitor-driven repair is bit-identical to a directly-constructed
   :class:`RepairJob` for the same failure set and executes with
   ``evaluation_misses == 0`` against the monitor-populated store;
+* a poll's work does not grow with the history behind it: the store
+  ingests only what the poll computed, the monitor's own engine caches
+  stay at their post-baseline sizes, and ``state.json`` keeps the last
+  enqueue rather than every enqueue;
 * traffic re-characterisation events re-evaluate only the groups
   containing a re-characterised use case (the splice contract), and the
   final spliced mapping validates clean on the degraded topology.
@@ -404,6 +408,7 @@ def test_monitor_escalates_unrepairable_to_full_remap(tmp_path, fake_clock):
         UseCaseSource(generator={
             "kind": "spread", "use_case_count": 3, "core_count": 12, "seed": 1,
         }),
+        store_path=tmp_path / "store",
         clock=fake_clock,  # no provision: minimal mesh
     )
     record = monitor.poll_once()
@@ -411,7 +416,11 @@ def test_monitor_escalates_unrepairable_to_full_remap(tmp_path, fake_clock):
     assert record["unrepairable"] == ["uc01"]
     job, = load_jobs(monitor.inbox / record["file"])
     assert job.compare_full_remap is True
-    assert monitor.state.enqueued[-1]["action"] == "remap"
+    assert monitor.state.last_enqueued["action"] == "remap"
+    # the monitor stored its engine.map baseline, so the serve side reads
+    # it instead of mapping the design again
+    served = execute_job(job, store_path=tmp_path / "store")
+    assert served.stats["engine"]["result_misses"] == 0
 
 
 # --------------------------------------------------------------------- #
@@ -568,7 +577,7 @@ def test_monitor_job_is_bit_identical_to_direct_repair_job(tmp_path, fake_clock)
     assert enqueued == direct
     assert enqueued.to_dict() == direct.to_dict()
     assert job_hash(enqueued) == job_hash(direct)
-    assert monitor.state.enqueued[-1]["job_hash"] == job_hash(direct)
+    assert monitor.state.last_enqueued["job_hash"] == job_hash(direct)
 
     # the monitor's local repairability probe populated the store, so the
     # serve-side execution of its job is fully warm...
@@ -578,6 +587,77 @@ def test_monitor_job_is_bit_identical_to_direct_repair_job(tmp_path, fake_clock)
     # ...and bit-identical to a cold run of the directly-constructed job
     cold = execute_job(direct)
     assert warm.payload == cold.payload
+
+
+# --------------------------------------------------------------------- #
+# a poll's cost does not grow with the history behind it
+# --------------------------------------------------------------------- #
+def test_monitor_poll_work_does_not_grow_with_history(
+    tmp_path, fake_clock, monkeypatch
+):
+    from repro.jobs.store import EngineStateStore
+
+    ingested = []
+    ingest = EngineStateStore.ingest
+
+    def counting_ingest(store, results=(), evaluations=()):
+        evaluations = list(evaluations)
+        ingested.append(sum(len(document["entries"]) for document in evaluations))
+        return ingest(store, results, evaluations)
+
+    monkeypatch.setattr(EngineStateStore, "ingest", counting_ingest)
+    design = _design()
+    target = list(design)[0]
+    flow = target.flows[0]
+    observation = {}
+    monitor = Monitor(
+        tmp_path / "inbox", CallbackProbeSource(lambda now: observation),
+        UseCaseSource(generator=dict(SPARSE8)), provision=(3, 3),
+        store_path=tmp_path / "store", clock=fake_clock,
+    )
+    assert monitor.poll_once() is None  # steady: computes the baseline
+    baseline_info = monitor.engine.cache_info()
+    evaluated = baseline_info["evaluation_hits"] + baseline_info["evaluation_misses"]
+
+    links = []
+    records = []
+    for index in range(32):
+        if index % 2:
+            links = [] if links else [[1, 4], [4, 1]]
+        else:
+            # a fresh override every other poll, cycling so states repeat
+            scale = 1.1 + 0.02 * (index // 2 % 4)
+            observation = dict(observation, traffic=[
+                [target.name, flow.source, flow.destination, flow.bandwidth * scale]
+            ])
+        observation = dict(observation, failures={"links": links})
+        before = monitor.engine.cache_info()
+        ingested.clear()
+        fake_clock.advance(1.0)
+        record = monitor.poll_once()
+        assert record is not None
+        records.append(record)
+        info = monitor.engine.cache_info()
+
+        # the store is handed only what this poll computed
+        misses = info["evaluation_misses"] - before["evaluation_misses"]
+        assert sum(ingested) <= misses, (index, ingested, misses)
+        # the baseline engine's caches stay put while its counters keep
+        # counting every poll's work
+        for cache in ("evaluations", "specs", "bundles"):
+            assert info[cache] == baseline_info[cache], (index, cache)
+        now_evaluated = info["evaluation_hits"] + info["evaluation_misses"]
+        assert now_evaluated > evaluated, index
+        evaluated = now_evaluated
+
+    # state.json is constant-size: a count and the last enqueue, no history
+    text = monitor.state_path.read_text()
+    document = json.loads(text)
+    assert document["schema"] == "repro/monitor-state@2"
+    assert "enqueued" not in document
+    assert document["events"]["enqueue"] == len(records)
+    assert document["last_enqueued"]["file"] == records[-1]["file"]
+    assert not any(record["file"] in text for record in records[:-1])
 
 
 # --------------------------------------------------------------------- #
@@ -659,19 +739,19 @@ def test_random_sequences_replay_byte_identically_and_validate(
 # status surfaces and analysis sweep
 # --------------------------------------------------------------------- #
 def test_inbox_status_surfaces_monitor_section(tmp_path, fake_clock):
-    monitor = _monitor(
-        tmp_path,
-        [{"failures": {"links": [[1, 4], [4, 1]], "switches": []}}],
-        clock=fake_clock,
-    )
-    monitor.poll_once()
+    fail = {"failures": {"links": [[1, 4], [4, 1]], "switches": []}}
+    monitor = _monitor(tmp_path, [fail, {}, fail], clock=fake_clock)
+    records = monitor.run(max_polls=3)
+    assert len(records) == 3
 
     status = inbox_status(monitor.inbox)
     section = status["monitor"]
     assert section["events"] == monitor.state.seq
-    assert section["enqueued"] == 1
-    assert section["failures"] == FailureSet().mark_link_down(1, 4).describe()
+    # the count and the last enqueue, after more than one enqueue
+    assert section["enqueued"] == 3
+    assert section["last_enqueued"]["file"] == records[-1]["file"]
     assert section["last_enqueued"]["action"] == "repair"
+    assert section["failures"] == FailureSet().mark_link_down(1, 4).describe()
 
     # a corrupt log degrades to an error string, not a crashed status call
     monitor.events_path.write_text("garbage\ngarbage\n")
