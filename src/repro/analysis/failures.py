@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import MappingEngine
-from repro.core.repair import repair_mapping
+from repro.core.repair import check_baseline, repair_mapping
 from repro.core.result import MappingResult
 from repro.noc.failures import FailureSet
 from repro.noc.topology import Topology
@@ -84,6 +84,25 @@ class FailureSweepRow:
         return document
 
 
+def _sweep_baseline(
+    engine: MappingEngine,
+    use_cases,
+    baseline: Optional[MappingResult],
+    provision: Optional[Tuple[int, int]],
+    groups,
+) -> MappingResult:
+    """The caller's baseline, checked against the design, or a computed one.
+
+    A computed baseline is the engine's mapping on the ``provision`` mesh,
+    or on the minimal feasible topology without one.
+    """
+    if baseline is not None:
+        check_baseline(baseline, use_cases)
+        return baseline
+    mesh = None if provision is None else Topology.mesh(*provision)
+    return engine.map(use_cases, groups=groups, topology=mesh)
+
+
 def _sweep_one_engine(
     engine: MappingEngine,
     use_cases,
@@ -139,21 +158,15 @@ def failure_sweep(
     Without ``baseline``, one is computed first — on a ``provision``
     ``(rows, cols)`` mesh when given (fault tolerance needs spare capacity;
     on the minimal mesh most failures are unsurvivable by construction), or
-    on the engine's minimal feasible topology otherwise.  With
+    on the engine's minimal feasible topology otherwise.  A supplied
+    ``baseline`` must map ``use_cases``
+    (:func:`~repro.core.repair.check_baseline` raises otherwise).  With
     ``frequencies_mhz``, the whole sweep repeats at each operating point via
     sibling engines (:meth:`MappingEngine.with_params`).
     """
     engine = engine or MappingEngine()
     groups_arg = None if groups is None else [list(group) for group in groups]
-    if baseline is None:
-        if provision is not None:
-            rows_, cols_ = provision
-            baseline = engine.mapper.map_with_placement(
-                use_cases, Topology.mesh(rows_, cols_), {},
-                groups=groups_arg, validate=False,
-            )
-        else:
-            baseline = engine.map(use_cases, groups=groups_arg)
+    baseline = _sweep_baseline(engine, use_cases, baseline, provision, groups_arg)
 
     candidates: List[Tuple[str, FailureSet]] = []
     if include_links:
@@ -228,21 +241,14 @@ def traffic_sweep(
     A row is schedulable when either the splice or a from-scratch remap of
     the (unchanged) topology still fits; the first unschedulable scale is
     the deployment's traffic headroom limit.  Scale ``1.0`` is the no-op
-    control row: zero changed use cases, zero affected groups.
+    control row: zero changed use cases, zero affected groups.  The
+    baseline is supplied or computed as in :func:`failure_sweep`.
     """
     from repro.ops.events import apply_traffic
 
     engine = engine or MappingEngine()
     groups_arg = None if groups is None else [list(group) for group in groups]
-    if baseline is None:
-        if provision is not None:
-            rows_, cols_ = provision
-            baseline = engine.mapper.map_with_placement(
-                use_cases, Topology.mesh(rows_, cols_), {},
-                groups=groups_arg, validate=False,
-            )
-        else:
-            baseline = engine.map(use_cases, groups=groups_arg)
+    baseline = _sweep_baseline(engine, use_cases, baseline, provision, groups_arg)
 
     rows: List[TrafficSweepRow] = []
     for scale in scales:

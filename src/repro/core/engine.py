@@ -13,8 +13,9 @@ re-deriving anything:
 * **evaluation cache** — (group, endpoint-placement projection) → the
   group's flow allocations, which makes repeated fixed-placement
   evaluations (the annealing/tabu inner loop) hit instead of re-mapping;
-* **result cache** — (spec hash, grouping, method) → ``MappingResult`` for
-  full mapping runs, shared by sweeps that revisit a design.
+* **result cache** — (spec hash, grouping, method[, topology fingerprint])
+  → ``MappingResult`` for full mapping runs — minimal-topology or forced
+  onto one topology — shared by sweeps that revisit a design.
 
 Engines are cheap to create; use :meth:`with_params` to derive a sibling at
 a different operating point that *shares* the params-independent spec and
@@ -286,7 +287,8 @@ class MappingEngine:
         #: (bundle, topology, group evaluation | None); the bundle and
         #: topology references pin their ids against recycling
         self._group_evals: "OrderedDict" = OrderedDict()
-        #: (spec hash, resolved grouping, method name) -> MappingResult
+        #: (spec hash, resolved grouping, method name, topology fingerprint
+        #: or None) -> MappingResult
         self._results: "OrderedDict" = OrderedDict()
         #: spec hash -> compiled worst-case spec (see worst_case)
         self._worst_specs: "OrderedDict[str, CompiledSpec]" = OrderedDict()
@@ -407,17 +409,26 @@ class MappingEngine:
         use_cases: SpecLike,
         groups: GroupSpec = None,
         switching_graph: Optional[SwitchingGraph] = None,
-        method_name: str = "unified",
+        method_name: Optional[str] = None,
+        topology: Optional[Topology] = None,
     ) -> MappingResult:
         """Map a design onto the smallest feasible topology (cached).
 
         Semantically identical to :meth:`UnifiedMapper.map`; repeated calls
         for the same specification, grouping and method return the cached
-        result object.
+        result object.  With ``topology`` the design is mapped onto exactly
+        that topology instead (a provisioned or degraded mesh), as
+        :meth:`UnifiedMapper.map_with_placement` with an empty placement
+        does; the result is cached and stored under the topology's content
+        fingerprint as well.  ``method_name`` defaults to ``"unified"``, or
+        to ``"unified-fixed-placement"`` with a ``topology``.
         """
         spec = self.compile(use_cases)
         resolved = self.resolve_groups(spec, groups, switching_graph)
-        key = (spec.spec_hash, resolved, method_name)
+        if method_name is None:
+            method_name = "unified" if topology is None else "unified-fixed-placement"
+        fingerprint = None if topology is None else self._topology_doc(topology)[1]
+        key = (spec.spec_hash, resolved, method_name, fingerprint)
         cached = self._results.get(key)
         if cached is not None:
             self._results.move_to_end(key)
@@ -428,7 +439,12 @@ class MappingEngine:
             self._counters["result_hits"] += 1
             return stored
         self._counters["result_misses"] += 1
-        if self.config.backend == "ilp":
+        if topology is not None:
+            result = self.mapper.map_with_placement(
+                spec.use_case_set, topology, {}, groups=resolved,
+                method_name=method_name, validate=False,
+            )
+        elif self.config.backend == "ilp":
             # The exact backend uses this engine's fixed-placement evaluator
             # (never map()), so there is no recursion; its result lands in
             # the same per-engine cache slot a heuristic run would.
@@ -772,11 +788,12 @@ class MappingEngine:
             Current sizes of the five in-memory caches (see the class
             docstring); sizes, not cumulative counts.
         ``result_hits`` / ``result_misses``
-            Full mapping runs (:meth:`map`) answered from cache / actually
-            performed.  A hit includes results read from an attached
-            store; a job served entirely without recomputation reports
-            ``result_misses == 0``, which is how the warm-start tests prove
-            nothing was recomputed.
+            Full mapping runs (:meth:`map`, minimal-topology or forced onto
+            a ``topology``) answered from cache / actually performed.  A
+            hit includes results read from an attached store; a job served
+            entirely without recomputation reports ``result_misses == 0``,
+            which is how the warm-start tests prove nothing was
+            recomputed.
         ``evaluation_hits`` / ``evaluation_misses``
             Fixed-placement group evaluations (the refinement hot path,
             :meth:`placement_cost` / :meth:`evaluate_placement`) answered
@@ -837,7 +854,7 @@ class MappingEngine:
             return None
         from repro.io.serialization import mapping_result_from_dict
 
-        spec_hash, resolved, method_name = key
+        spec_hash, resolved, method_name, topology_fp = key
         params_document, config_document = self._own_documents()
         store_key = self._store.result_key(
             spec_hash,
@@ -845,6 +862,7 @@ class MappingEngine:
             method_name,
             params_document,
             config_document,
+            topology_fp,
         )
         entry = self._store.get_result(store_key)
         if not isinstance(entry, dict) or not isinstance(entry.get("result"), dict):
@@ -997,7 +1015,8 @@ class MappingEngine:
         engine once.
 
         Each entry carries the cache key components (``spec_hash``,
-        ``groups``, ``method``) plus the :func:`mapping_result_to_dict`
+        ``groups``, ``method`` and, for a forced-topology :meth:`map`, the
+        ``topology`` fingerprint) plus the :func:`mapping_result_to_dict`
         payload — the shape :meth:`EngineStateStore.ingest
         <repro.jobs.store.EngineStateStore.ingest>` consumes.  The jobs
         layer ingests these after every execution, so a later job that
@@ -1007,17 +1026,19 @@ class MappingEngine:
         from repro.io.serialization import mapping_result_to_dict
 
         exported: List[Dict] = []
-        for (spec_hash, resolved, method_name), result in self._results.items():
-            if (spec_hash, resolved, method_name) in self._imported_keys:
+        for key, result in self._results.items():
+            if key in self._imported_keys:
                 continue
-            exported.append(
-                {
-                    "spec_hash": spec_hash,
-                    "groups": [sorted(group) for group in resolved],
-                    "method": method_name,
-                    "result": mapping_result_to_dict(result),
-                }
-            )
+            spec_hash, resolved, method_name, topology_fp = key
+            entry = {
+                "spec_hash": spec_hash,
+                "groups": [sorted(group) for group in resolved],
+                "method": method_name,
+                "result": mapping_result_to_dict(result),
+            }
+            if topology_fp is not None:
+                entry["topology"] = topology_fp
+            exported.append(entry)
         return exported
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -26,13 +26,15 @@ whose groups cannot be mapped on the degraded topology instead of raising.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import MappingEngine
 from repro.core.result import MappingResult, UseCaseConfiguration
-from repro.exceptions import MappingError, RoutingError
+from repro.core.validate import validate_mapping
+from repro.exceptions import MappingError, RoutingError, SpecificationError
 
 #: evaluation failures that mean "infeasible on this degraded topology",
 #: not "bug" — a failure set that partitions the mesh surfaces as
@@ -41,7 +43,12 @@ _INFEASIBLE = (MappingError, RoutingError)
 from repro.noc.failures import FailureSet
 from repro.noc.topology import Topology
 
-__all__ = ["RepairOutcome", "repair_mapping", "total_communication_cost"]
+__all__ = [
+    "RepairOutcome",
+    "check_baseline",
+    "repair_mapping",
+    "total_communication_cost",
+]
 
 
 def total_communication_cost(result: MappingResult) -> float:
@@ -53,6 +60,62 @@ def total_communication_cost(result: MappingResult) -> float:
         configuration.total_bandwidth_hops()
         for configuration in result.configurations.values()
     )
+
+
+def check_baseline(baseline: MappingResult, use_cases) -> None:
+    """Reject a supplied baseline that does not map ``use_cases``.
+
+    :func:`repair_mapping` splices a baseline's untouched groups into the
+    repair verbatim, so a baseline computed for another design, or for
+    other bandwidths, comes out as a wrong repaired mapping.  Callers check
+    a baseline that enters from outside (a file, a job document) against
+    the design *before* traffic overrides.  Requires the same use-case
+    names; exactly one allocation per flow, with equal endpoints and
+    traffic class, and bandwidth and latency equal within 1e-9 relative
+    (the Mbps / µs file format is not bit-exact); and a clean
+    :func:`~repro.core.validate.validate_mapping`.  Raises
+    :class:`SpecificationError` naming the first difference.
+    """
+    expected = sorted(use_case.name for use_case in use_cases)
+    mapped = sorted(baseline.configurations)
+    if mapped != expected:
+        raise SpecificationError(
+            f"baseline maps use cases {mapped}, the design has {expected}"
+        )
+    for use_case in use_cases:
+        configuration = baseline.configurations[use_case.name]
+        if len(configuration) != len(use_case.flows):
+            raise SpecificationError(
+                f"baseline allocates {len(configuration)} flow(s) of use case "
+                f"{use_case.name!r}, the design has {len(use_case.flows)}"
+            )
+        for flow in use_case.flows:
+            where = (
+                f"flow {flow.source}->{flow.destination} of use case {use_case.name!r}"
+            )
+            allocation = configuration.allocation_for(flow.source, flow.destination)
+            if allocation is None:
+                raise SpecificationError(f"baseline has no allocation for {where}")
+            allocated = allocation.flow
+            if allocated.traffic_class != flow.traffic_class:
+                raise SpecificationError(
+                    f"baseline allocates {where} as {allocated.traffic_class}, "
+                    f"the design has {flow.traffic_class}"
+                )
+            for quantity in ("bandwidth", "latency"):
+                wanted = getattr(flow, quantity)
+                found = getattr(allocated, quantity)
+                if not math.isclose(found, wanted, rel_tol=1e-9, abs_tol=0.0):
+                    raise SpecificationError(
+                        f"baseline allocates {where} for {quantity} {found!r}, "
+                        f"the design has {wanted!r}"
+                    )
+    report = validate_mapping(baseline)
+    if not report.ok:
+        raise SpecificationError(
+            f"baseline fails validation with {len(report.issues)} issue(s), "
+            f"first: {report.issues[0]}"
+        )
 
 
 @dataclass
@@ -250,6 +313,9 @@ def repair_mapping(
         outcome.evaluations = {key: after[key] - before[key] for key in counter_keys}
         outcome.elapsed_s = time.perf_counter() - started
         if compare_full_remap:
+            # Direct on purpose, not engine.map(topology=): this times a
+            # from-scratch remap and nothing reuses the result, so a cache
+            # or store read would only distort the timing and the counters.
             remap_started = time.perf_counter()
             try:
                 full = engine.mapper.map_with_placement(

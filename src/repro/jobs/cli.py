@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="use-case-set file to analyse")
     failures.add_argument(
         "--baseline", default=None, metavar="RESULT.json",
-        help="mapping-result file to repair (default: compute a baseline)",
+        help="mapping-result file of DESIGN to repair; one that maps another "
+             "design is an error (default: compute a baseline)",
     )
     failures.add_argument(
         "--provision", default=None, metavar="RxC",

@@ -57,6 +57,7 @@ from repro.jobs.spec import (
     job_to_dict,
     resolve_job,
 )
+from repro.noc.topology import Topology
 
 __all__ = ["JobResult", "JobRunner", "execute_job"]
 
@@ -166,17 +167,11 @@ def _initial_mapping(job, use_cases, groups, engine: MappingEngine):
     With ``mesh`` set the design is placed onto that exact mesh (the
     big-mesh campaign regime — the unified flow would otherwise select the
     smallest feasible topology, which for the paper-scale designs is a
-    2x2); without it, the engine's cached minimal-topology mapping.
+    2x2); without it, the engine's minimal-topology mapping.  Either way
+    the engine caches it and reads it from an attached store.
     """
-    mesh = getattr(job, "mesh", None)
-    if mesh is None:
-        return engine.map(use_cases, groups=groups)
-    from repro.noc.topology import Topology
-
-    rows, cols = mesh
-    return engine.mapper.map_with_placement(
-        use_cases, Topology.mesh(rows, cols), {}, groups=groups, validate=False
-    )
+    mesh = None if job.mesh is None else Topology.mesh(*job.mesh)
+    return engine.map(use_cases, groups=groups, topology=mesh)
 
 
 def _execute_refine(job: RefineJob, engine: MappingEngine) -> Dict:
@@ -215,9 +210,10 @@ def _execute_refine(job: RefineJob, engine: MappingEngine) -> Dict:
 def _execute_portfolio(job: "PortfolioRefineJob", engine: MappingEngine) -> Dict:
     """Run a portfolio of refinement chains and reduce to the best.
 
-    The initial mapping is computed once on the enveloping engine and
-    ingested into the shared engine-state store (the runner-attached store
-    when there is one, a throwaway directory otherwise); every chain —
+    The initial mapping (minimal, or on the forced ``mesh``) is computed
+    once on the enveloping engine and ingested into the shared engine-state
+    store (the runner-attached store when there is one, a throwaway
+    directory otherwise); every chain —
     expressed as a plain :class:`RefineJob` and executed through
     :func:`execute_job`, serially or over a process pool — reads it (and
     each other's candidate evaluations) from there instead of recomputing.
@@ -356,22 +352,26 @@ def _execute_sweep(job: SweepJob, engine: MappingEngine) -> Dict:
 
 
 def _repair_baseline(job: RepairJob, use_cases, engine: MappingEngine):
-    """Materialise the baseline mapping a repair job starts from."""
+    """Materialise the baseline mapping a repair job starts from.
+
+    A supplied baseline must map the job's design
+    (:func:`~repro.core.repair.check_baseline` raises otherwise); a
+    computed one is the engine's mapping, minimal or on the provisioned
+    mesh, read from the attached store when a sibling already stored it.
+    """
     groups = None if job.groups is None else [list(group) for group in job.groups]
     if job.baseline is not None:
+        from repro.core.repair import check_baseline
         from repro.io.serialization import load_mapping_result, mapping_result_from_dict
 
         if job.baseline.get("inline") is not None:
-            return mapping_result_from_dict(job.baseline["inline"])
-        return load_mapping_result(job.baseline["path"])
-    if job.provision is not None:
-        from repro.noc.topology import Topology
-
-        rows, cols = job.provision
-        return engine.mapper.map_with_placement(
-            use_cases, Topology.mesh(rows, cols), {}, groups=groups, validate=False
-        )
-    return engine.map(use_cases, groups=groups)
+            baseline = mapping_result_from_dict(job.baseline["inline"])
+        else:
+            baseline = load_mapping_result(job.baseline["path"])
+        check_baseline(baseline, use_cases)
+        return baseline
+    mesh = None if job.provision is None else Topology.mesh(*job.provision)
+    return engine.map(use_cases, groups=groups, topology=mesh)
 
 
 def _execute_repair(job: RepairJob, engine: MappingEngine) -> Dict:

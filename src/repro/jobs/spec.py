@@ -45,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -229,7 +230,7 @@ def _modes_to_dicts(modes: Tuple[CompoundModeSpec, ...]) -> List[Dict]:
     return [{"members": list(mode.members), "name": mode.name} for mode in modes]
 
 
-def _validate_mesh(mesh: Optional[Tuple[int, int]]) -> None:
+def _validate_mesh(mesh: Optional[Tuple[int, int]], what: str = "mesh") -> None:
     if mesh is None:
         return
     if (
@@ -237,7 +238,7 @@ def _validate_mesh(mesh: Optional[Tuple[int, int]]) -> None:
         or not all(isinstance(side, int) and side >= 1 for side in mesh)
     ):
         raise SpecificationError(
-            f"mesh must be (rows, cols) with positive sides, got {mesh!r}"
+            f"{what} must be (rows, cols) with positive sides, got {mesh!r}"
         )
 
 
@@ -650,11 +651,13 @@ class RepairJob:
                 "repair job 'baseline' must be {'inline': {...}} or {'path': ...}"
             )
         for row in self.traffic:
-            if len(row) != 4 or row[3] is None or float(row[3]) <= 0:
+            # NaN fails both comparisons, so this also rejects it
+            if len(row) != 4 or row[3] is None or not 0 < float(row[3]) < math.inf:
                 raise SpecificationError(
-                    "repair job 'traffic' rows must be "
-                    f"[use_case, source, destination, bytes_per_s>0], got {row!r}"
+                    "repair job 'traffic' rows must be [use_case, source, "
+                    f"destination, 0 < bytes_per_s < inf], got {row!r}"
                 )
+        _validate_mesh(self.provision, "repair job 'provision'")
 
     def to_dict(self) -> Dict:
         document = {

@@ -28,9 +28,9 @@ their access patterns differ:
 The durability contract, shared by both halves:
 
 * **content keys** — every key is a SHA-256 over the canonical JSON of
-  everything the stored payload depends on (spec hash, grouping, method or
-  topology, operating point, mapper configuration), so a hit is valid by
-  construction and can never be stale;
+  everything the stored payload depends on (spec hash, grouping, method
+  and/or topology, operating point, mapper configuration), so a hit is
+  valid by construction and can never be stale;
 * **append-only** — existing result files are never overwritten and
   evaluation lines are only ever appended (first occurrence of a key wins);
   the sole exception is :meth:`compact`, which rewrites atomically;
@@ -135,23 +135,28 @@ class EngineStateStore:
         method: str,
         params: Dict,
         config: Dict,
+        topology: Optional[str] = None,
     ) -> str:
         """The store key of one full mapping result.
 
         Covers everything the result is a function of: the order-covering
         spec hash, the resolved smooth-switching grouping, the mapping
-        method, and the operating point / mapper configuration documents.
+        method, the operating point / mapper configuration documents and,
+        for a mapping forced onto one topology, that topology's content
+        fingerprint.  The fingerprint enters the hashed document only when
+        given, so every minimal-topology key is what it always was.
         """
-        return _content_key(
-            {
-                "state": "result",
-                "spec_hash": spec_hash,
-                "groups": [sorted(group) for group in groups],
-                "method": method,
-                "params": params,
-                "config": config,
-            }
-        )
+        document = {
+            "state": "result",
+            "spec_hash": spec_hash,
+            "groups": [sorted(group) for group in groups],
+            "method": method,
+            "params": params,
+            "config": config,
+        }
+        if topology is not None:
+            document["topology"] = topology
+        return _content_key(document)
 
     @staticmethod
     def evaluation_context(
@@ -192,7 +197,8 @@ class EngineStateStore:
         """The stored result entry for a key, or ``None`` on a miss.
 
         The entry is the :meth:`MappingEngine.export_results` shape
-        (``spec_hash`` / ``groups`` / ``method`` / ``result``).  A corrupt
+        (``spec_hash`` / ``groups`` / ``method`` / ``result``, plus
+        ``topology`` for a forced-topology mapping).  A corrupt
         file warns (:class:`StoreCorruptionWarning`) and counts as a miss.
         """
         target = self.result_path(key)
@@ -389,6 +395,7 @@ class EngineStateStore:
                     entry["method"],
                     result["params"],
                     result["config"],
+                    entry.get("topology"),
                 )
             except (KeyError, TypeError):
                 continue

@@ -151,19 +151,14 @@ class Monitor:
         """The pre-failure mapping repairs splice against (computed once)."""
         if self._baseline is not None:
             return self._baseline
-        design = self._ensure_design()
         groups = None if self.groups is None else [list(g) for g in self.groups]
-        if self.provision is not None:
-            rows, cols = self.provision
-            self._baseline = self.engine.mapper.map_with_placement(
-                design, Topology.mesh(rows, cols), {}, groups=groups,
-                validate=False,
-            )
-        else:
-            self._baseline = self.engine.map(design, groups=groups)
-            if self._store is not None:
-                # the serve-side job maps the same baseline: store it once
-                self._store.ingest(self.engine.export_results())
+        mesh = None if self.provision is None else Topology.mesh(*self.provision)
+        self._baseline = self.engine.map(
+            self._ensure_design(), groups=groups, topology=mesh
+        )
+        if self._store is not None:
+            # the serve-side job maps the same baseline: store it once
+            self._store.ingest(self.engine.export_results())
         return self._baseline
 
     def _validate_observation(self, observation: Observation) -> None:

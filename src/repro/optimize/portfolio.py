@@ -13,9 +13,10 @@ siblings (:func:`chain_refine_jobs`) so the existing jobs machinery runs
 them — serially in-process, or over the runner's ``ProcessPoolExecutor`` —
 and so every chain warm-starts from the shared
 :class:`~repro.jobs.store.EngineStateStore` the executions are attached
-to: the initial mapping is computed once, and candidate evaluations one
-chain performed are recalled (not recomputed) by every other chain that
-visits the same group projection.  Chain 0 uses the refiner defaults
+to: the initial mapping — minimal, or forced onto the portfolio's
+``mesh`` — is computed once and every chain reads it from the store, and
+candidate evaluations one chain performed are recalled (not recomputed) by
+every other chain that visits the same group projection.  Chain 0 uses the refiner defaults
 exactly, which is what makes a 1-chain portfolio bit-identical to the
 plain refine job.
 

@@ -24,13 +24,27 @@ import pytest
 
 from repro import MappingEngine
 from repro.analysis import failure_sweep, single_link_failures, single_switch_failures
+from repro.analysis.failures import traffic_sweep
 from repro.core.repair import repair_mapping
-from repro.exceptions import RoutingError, TopologyError
+from repro.exceptions import RoutingError, SpecificationError, TopologyError
 from repro.gen import generate_benchmark
-from repro.io.serialization import save_use_case_set, topology_to_dict
-from repro.jobs import RepairJob, UseCaseSource, execute_job, job_hash
+from repro.io.serialization import (
+    mapping_result_to_dict,
+    save_mapping_result,
+    save_use_case_set,
+    topology_to_dict,
+)
+from repro.jobs import (
+    JobDirectoryService,
+    RepairJob,
+    UseCaseSource,
+    execute_job,
+    job_hash,
+    save_job,
+)
 from repro.jobs.cli import main as cli_main
 from repro.noc import FailureSet, PathSelector, Topology
+from repro.ops.events import apply_traffic
 
 # The sparse demo design: 8 light use cases on 16 cores map onto mesh-3x3
 # with plenty of slack, so single-link failures split the groups into
@@ -222,6 +236,106 @@ def test_repair_job_hash_depends_on_failures():
     )
     assert job_hash(base) != job_hash(other)
     assert job_hash(base) == job_hash(RepairJob.from_dict(base.to_dict()))
+
+
+def test_repair_job_rejects_nonfinite_traffic_at_construction():
+    source = UseCaseSource(generator=dict(SPARSE8))
+    for bandwidth in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(SpecificationError, match="traffic"):
+            RepairJob(use_cases=source,
+                      traffic=(("uc00", "core08", "core11", bandwidth),))
+    # JSON NaN / Infinity parse, so a job document must not smuggle them in
+    for literal in ("NaN", "Infinity"):
+        document = RepairJob(use_cases=source).to_dict()
+        document["traffic"] = [["uc00", "core08", "core11", json.loads(literal)]]
+        with pytest.raises(SpecificationError, match="traffic"):
+            RepairJob.from_dict(document)
+
+
+def test_repair_job_rejects_bad_provision_at_construction():
+    source = UseCaseSource(generator=dict(SPARSE8))
+    for provision in ((0, 4), (3, -1), (3,), (3, 3, 3), (2.5, 3)):
+        with pytest.raises(SpecificationError, match="provision"):
+            RepairJob(use_cases=source, provision=provision)
+    document = dict(RepairJob(use_cases=source).to_dict(), provision=[0, 4])
+    with pytest.raises(SpecificationError, match="provision"):
+        RepairJob.from_dict(document)
+
+
+def test_valid_repair_job_keeps_its_hash():
+    job = RepairJob(
+        use_cases=UseCaseSource(generator=dict(SPARSE8)),
+        failures=FailureSet().mark_link_down(1, 4).to_dict(),
+        provision=(3, 3),
+        traffic=(("uc00", "core08", "core11", 3498661.4288853733 * 1.5),),
+    )
+    # recorded before construction-time validation existed
+    assert job_hash(job) == (
+        "9994a12753a1025e2eadb86ad5f5a614c3a4b5c22300714f08acbad67f462489"
+    )
+
+
+# --------------------------------------------------------------------- #
+# supplied baselines must map the design
+# --------------------------------------------------------------------- #
+SPREAD3 = dict(kind="spread", use_case_count=3, core_count=12, seed=1)
+
+
+def _mesh3x3_baseline(design):
+    return MappingEngine().mapper.map_with_placement(
+        design, Topology.mesh(3, 3), {}, validate=False
+    )
+
+
+def _assert_baseline_rejected(design, baseline, tmp_path, match):
+    """Every entry point that takes a supplied baseline refuses this one."""
+    inline = RepairJob(use_cases=UseCaseSource.from_value(design), failures={},
+                       baseline={"inline": mapping_result_to_dict(baseline)})
+    with pytest.raises(SpecificationError, match=match):
+        execute_job(inline)
+    path = save_mapping_result(baseline, tmp_path / "baseline.json")
+    by_path = RepairJob(use_cases=UseCaseSource.from_value(design), failures={},
+                        baseline={"path": str(path)})
+    with pytest.raises(SpecificationError, match=match):
+        execute_job(by_path)
+    with pytest.raises(SpecificationError, match=match):
+        failure_sweep(design, baseline=baseline, include_switches=False)
+    with pytest.raises(SpecificationError, match=match):
+        traffic_sweep(design, scales=(1.0,), baseline=baseline)
+    # the service fails such a job on its first attempt
+    inbox = tmp_path / "inbox"
+    inbox.mkdir()
+    save_job(inline, inbox / "repair.json")
+    record, = JobDirectoryService(inbox, max_attempts=3, retry_backoff_s=0.0).run_once()
+    assert record["status"] == "failed" and record["attempts"] == 1
+
+
+def test_baseline_of_another_design_is_rejected(tmp_path):
+    design = generate_benchmark(**SPREAD3)
+    other = _mesh3x3_baseline(generate_benchmark(**dict(SPREAD3, seed=2)))
+    _assert_baseline_rejected(design, other, tmp_path, "baseline allocates")
+
+    # the design's own baseline passes, also through the lossy file format
+    own = _mesh3x3_baseline(design)
+    path = save_mapping_result(own, tmp_path / "own.json")
+    payload = execute_job(RepairJob(
+        use_cases=UseCaseSource.from_value(design), failures={},
+        baseline={"path": str(path)},
+    )).payload
+    assert payload["mapped"] is True
+    assert payload["baseline_fingerprint"] == payload["fingerprint"]
+
+
+def test_baseline_computed_for_other_bandwidths_is_rejected(tmp_path):
+    design = generate_benchmark(**SPREAD3)
+    use_case = list(design)[0]
+    flow = use_case.flows[0]
+    tripled, _ = apply_traffic(
+        design, {(use_case.name, flow.source, flow.destination): flow.bandwidth * 3}
+    )
+    # endpoints match, so the referee's coverage check alone would pass it
+    _assert_baseline_rejected(tripled, _mesh3x3_baseline(design), tmp_path,
+                              "for bandwidth")
 
 
 # --------------------------------------------------------------------- #

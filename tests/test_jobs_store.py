@@ -106,6 +106,51 @@ def test_store_keys_cover_every_component(tmp_path):
     assert EngineStateStore.result_key(base[0], [["b", "a"]], *base[2:]) == key
 
 
+def test_result_key_without_topology_is_unchanged():
+    base = ("0123abcd", [["uc1", "uc0"], ["uc2"]], "unified",
+            {"frequency_hz": 5e8, "slot_table_size": 32},
+            {"routing_policy": "minimal"})
+    # recorded before forced-topology keys existed: existing stores stay valid
+    pinned = "87d55a87593cd52218fa04aee83d9ae69def62cd61a70888a61757da9cc06b4f"
+    assert EngineStateStore.result_key(*base) == pinned
+    assert EngineStateStore.result_key(*base, None) == pinned
+    # a topology fingerprint is one more key component
+    assert EngineStateStore.result_key(*base, "f" * 64) != pinned
+    assert EngineStateStore.result_key(*base, "e" * 64) != \
+        EngineStateStore.result_key(*base, "f" * 64)
+
+
+def test_forced_topology_mapping_warm_starts_from_the_store(tmp_path):
+    from repro.io.serialization import mapping_result_to_dict
+    from repro.noc import FailureSet, Topology
+
+    design = generate_benchmark(
+        "spread", 10, core_count=16, seed=3, flows_per_use_case=(8, 14)
+    )
+    first = MappingEngine()
+    computed = first.map(design, topology=Topology.mesh(4, 4))
+    store = EngineStateStore(tmp_path / "store")
+    assert store.ingest(first.export_results()) == {"results": 1, "evaluations": 0}
+
+    fresh = MappingEngine()
+    fresh.attach_store(store)
+    read = fresh.map(design, topology=Topology.mesh(4, 4))
+    info = fresh.cache_info()
+    assert info["result_misses"] == 0 and info["imported_results"] == 1
+    assert mapping_result_to_dict(read) == mapping_result_to_dict(computed)
+    assert mapping_fingerprint(read) == mapping_fingerprint(computed)
+    assert fresh.export_results() == []  # never re-exported
+
+    # another mesh size, a failed link or no forced topology at all is a miss
+    degraded = Topology.mesh(4, 4).with_failures(FailureSet().mark_link_down(5, 6))
+    for topology in (Topology.mesh(4, 5), degraded, None):
+        other = MappingEngine()
+        other.attach_store(store)
+        other.map(design, topology=topology)
+        info = other.cache_info()
+        assert (info["result_misses"], info["imported_results"]) == (1, 0), topology
+
+
 # --------------------------------------------------------------------------- #
 # corruption tolerance
 # --------------------------------------------------------------------------- #

@@ -589,6 +589,40 @@ def test_monitor_job_is_bit_identical_to_direct_repair_job(tmp_path, fake_clock)
     assert warm.payload == cold.payload
 
 
+def test_provisioned_baseline_is_read_from_the_store(
+    tmp_path, fake_clock, monkeypatch
+):
+    from repro.core.mapping import UnifiedMapper
+
+    store = tmp_path / "store"
+    fail = {"failures": {"links": [[1, 4], [4, 1]], "switches": []}}
+    monitor = _monitor(tmp_path, [fail], clock=fake_clock, store_path=store)
+    record = monitor.poll_once()
+    job, = load_jobs(monitor.inbox / record["file"])
+
+    calls = []
+    original = UnifiedMapper.map_with_placement
+
+    def counting(mapper, *args, **kwargs):
+        calls.append(args[1].name)
+        return original(mapper, *args, **kwargs)
+
+    monkeypatch.setattr(UnifiedMapper, "map_with_placement", counting)
+    # the serve side reads the provisioned baseline the monitor stored...
+    served = execute_job(job, store_path=store)
+    assert served.payload["mapped"] is True
+    assert calls == []
+    assert served.stats["engine"]["imported_results"] == 1
+    assert served.stats["engine"]["result_misses"] == 0
+
+    # ...and so does a restarted monitor over the same store
+    restarted = _monitor(tmp_path, [fail], clock=FakeClock(start=100.0),
+                         store_path=store)
+    assert restarted.poll_once() is None  # the known failure: no delta
+    assert calls == []
+    assert restarted.engine.cache_info()["imported_results"] == 1
+
+
 # --------------------------------------------------------------------- #
 # a poll's cost does not grow with the history behind it
 # --------------------------------------------------------------------- #

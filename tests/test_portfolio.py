@@ -159,6 +159,36 @@ def test_single_chain_portfolio_matches_plain_refine_job():
     assert stripped == plain_payload
 
 
+def test_forced_mesh_portfolio_maps_its_initial_mapping_once(monkeypatch):
+    import hashlib
+
+    from repro.core.mapping import UnifiedMapper
+
+    calls = []
+    original = UnifiedMapper.map_with_placement
+
+    def counting(mapper, *args, **kwargs):
+        calls.append(args[1].name)
+        return original(mapper, *args, **kwargs)
+
+    monkeypatch.setattr(UnifiedMapper, "map_with_placement", counting)
+    sparse = UseCaseSource(generator={
+        "kind": "spread", "use_case_count": 8, "core_count": 16, "seed": 5,
+        "flows_per_use_case": [6, 10],
+    })
+    job = PortfolioRefineJob(use_cases=sparse, iterations=8, seed=2, chains=3,
+                             mesh=(4, 4))
+    result = run_job(job)
+    # the enveloping engine maps it; all three chains read it from the store
+    assert calls == ["mesh-4x4"]
+    assert result.stats["engine"]["imported_results"] == 3
+    # the payload recorded when every chain re-mapped its initial mapping
+    digest = hashlib.sha256(
+        json.dumps(result.payload, sort_keys=True).encode()
+    ).hexdigest()
+    assert digest == "8d0fd52afd879b9cbde47c6e0c210d1005178edf2ae046b15c16024b2e77eb68"
+
+
 def test_pool_portfolio_matches_serial_payload():
     serial = PortfolioRefineJob(use_cases=SPREAD10, iterations=12, chains=2, seed=0)
     pooled = PortfolioRefineJob(

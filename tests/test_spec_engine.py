@@ -201,6 +201,53 @@ def test_engine_worst_case_matches_legacy_construction(figure5_use_cases):
 
 
 # --------------------------------------------------------------------------- #
+# forced-topology mapping
+# --------------------------------------------------------------------------- #
+#: the sparse 16-core design the repair and monitor paths run on a 4x4 mesh
+SPARSE16 = dict(use_case_count=10, core_count=16, seed=3, flows_per_use_case=(8, 14))
+
+
+def _forced_topology_cases():
+    from repro.noc.failures import FailureSet
+    from repro.noc.topology import Topology
+
+    sparse = generate_benchmark("spread", **SPARSE16)
+    large = generate_benchmark(
+        "spread", 40, core_count=48, seed=3, flows_per_use_case=(8, 14)
+    )
+    degraded = Topology.mesh(4, 4).with_failures(FailureSet().mark_link_down(5, 6))
+    return {
+        "sparse-4x4": (sparse, Topology.mesh(4, 4)),
+        "48core-8x8": (large, Topology.mesh(8, 8)),
+        "sparse-degraded-4x4": (sparse, degraded),
+    }
+
+
+@pytest.mark.parametrize("case", ["sparse-4x4", "48core-8x8", "sparse-degraded-4x4"])
+def test_engine_map_onto_topology_matches_fixed_placement_mapper(case):
+    from repro.io.serialization import mapping_result_to_dict
+
+    design, topology = _forced_topology_cases()[case]
+    engine = MappingEngine()
+    forced = engine.map(design, topology=topology)
+    direct = engine.mapper.map_with_placement(design, topology, {}, validate=False)
+    assert forced.method == "unified-fixed-placement"
+    assert forced.topology is topology
+    assert mapping_fingerprint(forced) == mapping_fingerprint(direct)
+    assert mapping_result_to_dict(forced) == mapping_result_to_dict(direct)
+    assert engine.cache_info()["result_misses"] == 1
+
+    # a second call is a result-cache hit, and the minimal-topology mapping
+    # of the same design is a different entry
+    assert engine.map(design, topology=topology) is forced
+    info = engine.cache_info()
+    assert (info["result_hits"], info["result_misses"]) == (1, 1)
+    if case == "sparse-4x4":
+        assert engine.map(design) is not forced
+        assert engine.cache_info()["result_misses"] == 2
+
+
+# --------------------------------------------------------------------------- #
 # fixed-placement evaluation
 # --------------------------------------------------------------------------- #
 def _matches_general_path(mapper, engine, use_cases, spec, topology, placement, groups):
