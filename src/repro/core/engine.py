@@ -45,7 +45,7 @@ from repro.core.spec import CompiledSpec, compile_spec
 from repro.core.switching import SwitchingGraph
 from repro.core.usecase import UseCaseSet
 from repro.exceptions import MappingError, ReproError
-from repro.noc.slot_table import rotated_start_slots
+from repro.noc.slot_table import pipelined_link_slots
 from repro.noc.topology import Topology
 from repro.params import MapperConfig, NoCParameters
 
@@ -159,25 +159,6 @@ def _parse_outcome_doc(
     return pairs
 
 
-def _rotated_slots(
-    path: Tuple[int, ...], starts: Tuple[int, ...], size: int
-) -> Dict[Tuple[int, int], Tuple[int, ...]]:
-    """Per-link slot assignment from the starting slots.
-
-    Hop ``i`` carries the starts rotated by ``i mod size`` — the exact
-    tuples ``ResourceState._plan`` builds, via the same shared
-    :func:`~repro.noc.slot_table.rotated_start_slots` helper, so imported
-    evaluations reproduce the planner's assignments structurally.
-    """
-    if not starts or len(path) < 2:
-        return {}
-    assignment: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for hop in range(len(path) - 1):
-        link = (path[hop], path[hop + 1])
-        assignment[link] = rotated_start_slots(starts, hop % size, size)
-    return assignment
-
-
 class _GroupOutcome:
     """One group's feasible fixed-placement evaluation, as kernel decisions.
 
@@ -223,7 +204,8 @@ class _GroupOutcome:
         """Per plan item: its (member name, allocation, cost term) records.
 
         Built on first use and memoised.  Members are the plan's own flow
-        records, per-link slots are :func:`_rotated_slots` of the starts,
+        records, per-link slots are
+        :func:`~repro.noc.slot_table.pipelined_link_slots` of the starts,
         and each cost term is ``bandwidth × hops`` — the floats
         :meth:`name_sums` adds.
         """
@@ -233,7 +215,7 @@ class _GroupOutcome:
             cached = []
             for (path, starts), (_pair_req, members) in zip(self.pairs, self._plan):
                 hops = len(path) - 1
-                link_slots = _rotated_slots(path, starts, size)
+                link_slots = pipelined_link_slots(path, starts, size)
                 cached.append(tuple(
                     (
                         name,
@@ -513,30 +495,6 @@ class MappingEngine:
     # ------------------------------------------------------------------ #
     # fixed-placement evaluation (the refinement hot path)
     # ------------------------------------------------------------------ #
-    def _placement_fault(
-        self, topology: Topology, placement: Mapping[str, int]
-    ) -> Optional[str]:
-        """Why a placement is invalid on a topology, or ``None`` if it is valid.
-
-        The global checks the per-state attachments of the general path
-        perform: switch indices exist (an unknown index raises through
-        ``topology.switch``), switches are alive, and the per-switch core
-        limit holds.
-        """
-        limit = self.params.max_cores_per_switch
-        occupancy: Dict[int, int] = {}
-        for core, switch in placement.items():
-            topology.switch(switch)
-            if topology.is_switch_down(switch):
-                return (
-                    f"placement puts core {core!r} on failed switch {switch} "
-                    f"of {topology.name!r}"
-                )
-            occupancy[switch] = occupancy.get(switch, 0) + 1
-            if limit is not None and occupancy[switch] > limit:
-                return f"placement is infeasible on topology {topology.name!r}"
-        return None
-
     def _group_outcome(
         self,
         bundle: _RequirementBundle,
@@ -585,7 +543,8 @@ class MappingEngine:
     ) -> Dict[int, _GroupOutcome]:
         """Evaluate (or recall) every group under a complete placement.
 
-        Validates the placement globally (:meth:`_placement_fault`), then
+        Validates the placement globally
+        (:meth:`UnifiedMapper.placement_fault`), then
         recalls or computes each group through :meth:`_group_outcome`.
         ``only`` restricts evaluation to a subset of group ids — the repair
         path evaluates just the failure-affected groups and splices the
@@ -593,7 +552,7 @@ class MappingEngine:
         :class:`MappingError` when the placement or any evaluated group is
         infeasible.
         """
-        fault = self._placement_fault(topology, placement)
+        fault = self.mapper.placement_fault(topology, placement)
         if fault is not None:
             raise MappingError(fault, largest_topology=topology.name)
         core_names = bundle.spec_core_names

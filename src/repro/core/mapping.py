@@ -24,6 +24,15 @@ The key departure from the worst-case baseline (ref [25]) is step 5: each
 use-case (or each smooth-switching group) owns an independent
 :class:`~repro.noc.resources.ResourceState`, so traffic of use-cases that
 never run simultaneously does not compete for the same bandwidth and slots.
+
+Steps 4–5 for one core pair are written once:
+:meth:`~repro.noc.routing.PathSelector.select_least_cost` ranks the pair's
+candidate paths in the group's state and finds pipelined slots, and
+:meth:`ResourceState.reserve <repro.noc.resources.ResourceState.reserve>`
+commits them.  The constructive outer loop (:meth:`UnifiedMapper._attempt`)
+and the fixed-placement evaluator the engine and the refiners use
+(:meth:`UnifiedMapper.evaluate_group_fixed`) both place every pair through
+those two calls.
 """
 
 from __future__ import annotations
@@ -35,10 +44,10 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from repro.core.result import FlowAllocation, MappingResult, UseCaseConfiguration
 from repro.core.switching import SwitchingGraph
 from repro.core.usecase import Flow, TrafficClass, UseCase, UseCaseSet
-from repro.exceptions import ConfigurationError, MappingError, ResourceError, SpecificationError
+from repro.exceptions import ConfigurationError, MappingError, SpecificationError
 from repro.noc.resources import INFEASIBLE_COST, ResourceState
 from repro.noc.routing import PathSelector
-from repro.noc.slot_table import lowest_set_bits, pipelined_free_mask, slots_needed_cached
+from repro.noc.slot_table import pipelined_link_slots, slots_needed_cached
 from repro.noc.topology import Topology, mesh_growth_schedule
 from repro.params import MapperConfig, NoCParameters
 from repro.perf.latency import latency_hop_budget
@@ -58,7 +67,7 @@ class _PairRequirement:
     """
 
     __slots__ = ("group_id", "source", "destination", "bandwidth", "latency",
-                 "guaranteed", "pair", "flow_id")
+                 "guaranteed", "pair")
 
     def __init__(
         self,
@@ -76,8 +85,6 @@ class _PairRequirement:
         self.latency = latency
         self.guaranteed = guaranteed
         self.pair = (source, destination)
-        #: reservation identifier, formatted once (read per placement attempt)
-        self.flow_id = f"g{group_id}:{source}->{destination}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -302,14 +309,9 @@ class UnifiedMapper:
         self._selector_cache: "OrderedDict[int, Tuple[Topology, PathSelector]]" = (
             OrderedDict()
         )
-        #: pristine (no cores, no reservations) ResourceState per topology;
-        #: every attempt copies the template once per group, and the copies
-        #: share the template's link set and path->links memo, so derived
-        #: routing state carries over across the outer loop's growing mesh
-        #: attempts.
-        self._pristine_cache: "OrderedDict[int, Tuple[Topology, ResourceState]]" = (
-            OrderedDict()
-        )
+        #: the empty group state every attempt and every fixed-placement
+        #: evaluation copies once per group (a state knows no topology)
+        self._pristine = ResourceState(self.params)
         #: live accounting of the attempt currently in flight (None outside)
         self._acct: Optional[_AttemptAccounting] = None
         #: (latency, slots owned) -> hop budget memo: the only inputs of
@@ -341,19 +343,6 @@ class UnifiedMapper:
         if len(self._selector_cache) > self._SELECTOR_CACHE_SIZE:
             self._selector_cache.popitem(last=False)
         return selector
-
-    def _pristine_for(self, topology: Topology) -> ResourceState:
-        """An empty ResourceState template for a topology (identity-cached)."""
-        key = id(topology)
-        entry = self._pristine_cache.get(key)
-        if entry is not None and entry[0] is topology:
-            self._pristine_cache.move_to_end(key)
-            return entry[1]
-        template = ResourceState(topology, self.params, name="pristine")
-        self._pristine_cache[key] = (topology, template)
-        if len(self._pristine_cache) > self._SELECTOR_CACHE_SIZE:
-            self._pristine_cache.popitem(last=False)
-        return template
 
     # ------------------------------------------------------------------ #
     # public API
@@ -602,117 +591,30 @@ class UnifiedMapper:
         starting slots)`` decision per plan entry, in plan order (no starts
         for best-effort flows and same-switch paths), or ``None`` when the
         group cannot be mapped — exactly the decisions :meth:`_attempt`
-        makes for this group when every endpoint is pre-placed:
-
-        * with a complete placement the group's resource state evolves
-          independently of every other group, so evaluating it alone is
-          exact (this is what makes per-group caching in the engine sound);
-        * that state lives in plain dicts that default to a fresh group
-          state — every residual at link capacity, every slot table free,
-          the representation :class:`ResourceState` also uses — instead of
-          a ``ResourceState`` copy, and every float operation is
-          ``ResourceState.path_cost``'s or ``_commit``'s, in the same
-          order, so ranking ties resolve identically;
-        * when a pair has a single candidate path, ranking by cost is
-          skipped: the reservation checks are a strict superset of the
-          path-cost feasibility checks, so reserving directly accepts and
-          rejects in exactly the same cases;
-        * with several candidates, trying them in (cost, path) order
-          replays ``PathSelector.select_least_cost`` exactly.  Ranking has
-          already checked every link's residual bandwidth and free slots,
-          and nothing commits until a path succeeds, so trying a ranked
-          path is just its pipelined slot search.
+        makes for this group when every endpoint is pre-placed.  With a
+        complete placement the group's resource state evolves independently
+        of every other group, so evaluating it alone on a pristine state,
+        through the same :meth:`PathSelector.select_least_cost` and
+        :meth:`ResourceState.reserve` calls, is exact (this is what makes
+        per-group caching in the engine sound).
         """
-        candidate_paths = self._selector_for(topology).candidate_paths
-        budgets = self._budgets_for(plan)
-        capacity = self.params.link_capacity
-        size = self.params.slot_table_size
-        full = (1 << size) - 1
-        config = self.config
-        hop_weight = config.hop_weight
-        bandwidth_weight = config.bandwidth_weight
-        slot_weight = config.slot_weight
-        link_residual: Dict[Tuple[int, int], float] = {}
-        free_masks: Dict[Tuple[int, int], int] = {}
-        ingress: Dict[str, float] = {}
-        egress: Dict[str, float] = {}
+        select = self._selector_for(topology).select_least_cost
+        state = self._pristine.copy()
         decisions: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        for index, (req, _members) in enumerate(plan):
-            max_hops = budgets[index]
+        for (req, _members), max_hops in zip(plan, self._budgets_for(plan)):
             if max_hops is not None and max_hops < 0:
                 return None
             source = req.source
             destination = req.destination
-            bandwidth = req.bandwidth
-            guaranteed = req.guaranteed
-            threshold = bandwidth - 1e-9
-            paths = candidate_paths(placement[source], placement[destination])
-            if (
-                ingress.get(source, capacity) < threshold
-                or egress.get(destination, capacity) < threshold
-            ):
+            selection = select(
+                state, source, destination, placement[source], placement[destination],
+                req.bandwidth, req.guaranteed, max_hops,
+            )
+            if selection is None:
                 return None
-            needed = slots_needed_cached(bandwidth, capacity, size) if guaranteed else 0
-            if len(paths) == 1:
-                path = paths[0]
-                if max_hops is not None and len(path) - 1 > max_hops:
-                    return None
-                for link in zip(path, path[1:]):
-                    if link_residual.get(link, capacity) < threshold:
-                        return None
-                ranked: Sequence[Tuple[int, ...]] = paths
-            else:
-                scored: List[Tuple[float, Tuple[int, ...]]] = []
-                for path in paths:
-                    hops = len(path) - 1
-                    if max_hops is not None and hops > max_hops:
-                        continue
-                    cost = hop_weight * hops
-                    for link in zip(path, path[1:]):
-                        residual = link_residual.get(link, capacity)
-                        if residual < threshold:
-                            break
-                        cost += bandwidth_weight * (
-                            bandwidth / (residual if residual > 1e-9 else 1e-9)
-                        )
-                        if guaranteed:
-                            free = free_masks.get(link, full).bit_count()
-                            if free < needed:
-                                break
-                            cost += slot_weight * (needed / free)
-                    else:
-                        scored.append((cost, path))
-                scored.sort()
-                ranked = [path for _cost, path in scored]
-            for path in ranked:
-                links = tuple(zip(path, path[1:]))
-                if not guaranteed or not links:
-                    starts: Optional[Tuple[int, ...]] = ()
-                    break
-                starts = lowest_set_bits(
-                    pipelined_free_mask(
-                        [free_masks.get(link, full) for link in links], size
-                    ),
-                    needed,
-                )
-                if starts is not None:
-                    break
-            else:
-                return None
-            # Commit, in ResourceState._commit's order.
-            ingress[source] = ingress.get(source, capacity) - bandwidth
-            egress[destination] = egress.get(destination, capacity) - bandwidth
-            for link in links:
-                link_residual[link] = link_residual.get(link, capacity) - bandwidth
-            if starts:
-                taken = 0
-                for start in starts:
-                    taken |= 1 << start
-                for link in links:
-                    free_masks[link] = free_masks.get(link, full) & ~taken
-                    # the next hop carries every slot one position later
-                    taken = ((taken << 1) | (taken >> (size - 1))) & full
-            decisions.append((path, starts))
+            path, starts = selection
+            state.reserve(source, destination, path, req.bandwidth, starts)
+            decisions.append(selection)
         return decisions
 
     def _attempt(
@@ -731,10 +633,8 @@ class UnifiedMapper:
         cores to switches (used by :meth:`map_with_placement`).
         """
         selector = self._selector_for(topology)
-        pristine = self._pristine_for(topology)
         states: Dict[int, ResourceState] = {
-            requirement.group_id: pristine.copy(name=f"group-{requirement.group_id}")
-            for requirement in requirements
+            requirement.group_id: self._pristine.copy() for requirement in requirements
         }
         configurations: Dict[str, UseCaseConfiguration] = {}
         for requirement in requirements:
@@ -754,11 +654,10 @@ class UnifiedMapper:
         self._acct = acct
         try:
             if initial_placement is not None:
-                try:
-                    for core, switch in initial_placement.items():
-                        self._attach_everywhere(core, switch, core_mapping, states)
-                except ResourceError:
+                if self.placement_fault(topology, initial_placement) is not None:
                     return None
+                for core, switch in initial_placement.items():
+                    self._attach(core, switch, core_mapping)
 
             # The pending set is the bandwidth-sorted ``items`` list with lazy
             # deletion: ``done`` flags placed requirements, ``head`` tracks the
@@ -794,7 +693,7 @@ class UnifiedMapper:
                     if done[position]:
                         continue
                     success = self._place_pair(
-                        req, states[req.group_id], selector, core_mapping, states,
+                        req, states[req.group_id], selector, core_mapping,
                         requirements, configurations,
                     )
                     if not success:
@@ -808,7 +707,7 @@ class UnifiedMapper:
                     switch = self._switch_with_room(topology, core_mapping)
                     if switch is None:
                         return None
-                    self._attach_everywhere(core, switch, core_mapping, states)
+                    self._attach(core, switch, core_mapping)
             return core_mapping, configurations
         finally:
             self._acct = None
@@ -822,66 +721,60 @@ class UnifiedMapper:
         state: ResourceState,
         selector: PathSelector,
         core_mapping: Dict[str, int],
-        states: Mapping[int, ResourceState],
         requirements: Sequence[GroupRequirement],
         configurations: Dict[str, UseCaseConfiguration],
     ) -> bool:
         max_hops = self._hop_budget(req)
         if max_hops is not None and max_hops < 0:
             return False
-        source_switch = core_mapping.get(req.source)
-        destination_switch = core_mapping.get(req.destination)
-        flow_id = req.flow_id
+        source = req.source
+        destination = req.destination
+        bandwidth = req.bandwidth
+        source_switch = core_mapping.get(source)
+        destination_switch = core_mapping.get(destination)
 
         if source_switch is None or destination_switch is None:
+            needed = (
+                slots_needed_cached(bandwidth, state.capacity, state.size)
+                if req.guaranteed else 0
+            )
             placement = self._choose_placement(
-                req, state, selector, core_mapping, max_hops
+                req, state, selector, core_mapping, max_hops, needed
             )
             if placement is None:
                 return False
             source_switch, destination_switch, path = placement
-            if req.source not in core_mapping:
-                self._attach_everywhere(req.source, source_switch, core_mapping, states)
-            if req.destination not in core_mapping:
-                self._attach_everywhere(req.destination, destination_switch, core_mapping, states)
-            try:
-                reservation = state.reserve(
-                    flow_id, req.source, req.destination, path, req.bandwidth,
-                    guaranteed=req.guaranteed,
-                )
-            except ResourceError:
+            if source not in core_mapping:
+                self._attach(source, source_switch, core_mapping)
+            if destination not in core_mapping:
+                self._attach(destination, destination_switch, core_mapping)
+            starts = state.can_reserve(source, destination, path, bandwidth, needed)
+            if starts is None:
                 return False
         else:
             selection = selector.select_least_cost(
-                state,
-                req.source,
-                req.destination,
-                req.bandwidth,
-                guaranteed=req.guaranteed,
-                max_hops=max_hops,
+                state, source, destination, source_switch, destination_switch,
+                bandwidth, req.guaranteed, max_hops,
             )
             if selection is None:
                 return False
-            path, _cost = selection
-            reservation = state.reserve(
-                flow_id, req.source, req.destination, path, req.bandwidth,
-                guaranteed=req.guaranteed,
-            )
+            path, starts = selection
+        state.reserve(source, destination, path, bandwidth, starts)
 
         # Record the allocation for every member use-case that has this flow,
         # carrying the member's own bandwidth/latency (the shared path and
         # slot assignment come from the group configuration).
-        requirement = requirements[req.group_id]
-        for use_case in requirement.members:
-            flow = use_case.flow_between(req.source, req.destination)
+        link_slots = pipelined_link_slots(path, starts, state.size)
+        for use_case in requirements[req.group_id].members:
+            flow = use_case.flow_between(source, destination)
             if flow is None:
                 continue
             configurations[use_case.name].add(
                 FlowAllocation(
                     use_case=use_case.name,
                     flow=flow,
-                    switch_path=reservation.switch_path,
-                    link_slots=dict(reservation.link_slots),
+                    switch_path=path,
+                    link_slots=dict(link_slots),
                 )
             )
         return True
@@ -923,6 +816,7 @@ class UnifiedMapper:
         selector: PathSelector,
         core_mapping: Mapping[str, int],
         max_hops: Optional[int],
+        needed: int,
     ) -> Optional[Tuple[int, int, Tuple[int, ...]]]:
         """Pick switches for unmapped endpoints and the path between them.
 
@@ -930,9 +824,9 @@ class UnifiedMapper:
         chosen path": every admissible (source switch, destination switch)
         combination is scored by the cheapest candidate path between the two
         switches in the group's resource state, and the overall cheapest
-        combination wins.
+        combination wins.  ``needed`` is the pair's slot demand per link.
         """
-        topology = state.topology
+        topology = selector.topology
         source_fixed = core_mapping.get(req.source)
         destination_fixed = core_mapping.get(req.destination)
         # Anchor the candidate pools near the already-placed counterpart (or
@@ -973,9 +867,7 @@ class UnifiedMapper:
                 for path in selector.candidate_paths(source_switch, destination_switch):
                     if max_hops is not None and len(path) - 1 > max_hops:
                         continue
-                    cost = state.path_cost(
-                        path, req.bandwidth, self.config, guaranteed=req.guaranteed
-                    )
+                    cost = state.path_cost(path, req.bandwidth, needed, self.config)
                     if cost == INFEASIBLE_COST:
                         continue
                     key = (cost, source_switch, destination_switch, path)
@@ -1079,19 +971,35 @@ class UnifiedMapper:
         candidates = self._placement_candidates(topology, core_mapping)
         return candidates[0] if candidates else None
 
-    def _attach_everywhere(
-        self,
-        core: str,
-        switch: int,
-        core_mapping: Dict[str, int],
-        states: Mapping[int, ResourceState],
-    ) -> None:
-        """Attach a core to a switch in the shared mapping and every group state."""
+    def placement_fault(
+        self, topology: Topology, placement: Mapping[str, int]
+    ) -> Optional[str]:
+        """Why a placement is invalid on a topology, or ``None`` if it is valid.
+
+        The one placement-validity check: switch indices exist (an unknown
+        index raises through ``topology.switch``), switches are alive, and
+        the per-switch core limit holds.  :meth:`_attempt` applies it to an
+        initial placement; the engine and the candidate screen apply it
+        before evaluating any group.
+        """
+        limit = self.params.max_cores_per_switch
+        occupancy: Dict[int, int] = {}
+        for core, switch in placement.items():
+            topology.switch(switch)
+            if topology.is_switch_down(switch):
+                return (
+                    f"placement puts core {core!r} on failed switch {switch} "
+                    f"of {topology.name!r}"
+                )
+            occupancy[switch] = occupancy.get(switch, 0) + 1
+            if limit is not None and occupancy[switch] > limit:
+                return f"placement is infeasible on topology {topology.name!r}"
+        return None
+
+    def _attach(self, core: str, switch: int, core_mapping: Dict[str, int]) -> None:
+        """Attach a core to a switch in the shared mapping and the accounting."""
         core_mapping[core] = switch
-        for state in states.values():
-            state.attach_core(core, switch)
-        if self._acct is not None:
-            self._acct.on_attach(core, switch)
+        self._acct.on_attach(core, switch)
 
 
 def map_use_cases(

@@ -17,21 +17,24 @@ are supported:
   the minimal hop count, for heavily loaded networks where minimal paths
   run out of slots.
 
-Path selection combines the enumeration with the per-use-case cost function
-of :meth:`repro.noc.resources.ResourceState.path_cost` and returns the
-cheapest path on which the reservation is actually possible.
+:meth:`PathSelector.select_least_cost` is the per-pair step of Algorithm 2
+that both the constructive mapper and the fixed-placement evaluator run: it
+ranks a pair's candidates with the group state's
+:meth:`~repro.noc.resources.ResourceState.path_cost` and returns the
+cheapest path on which :meth:`~repro.noc.resources.ResourceState.can_reserve`
+finds pipelined slots, with those slots.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from repro.exceptions import RoutingError, TopologyError
+from repro.exceptions import RoutingError
 from repro.noc.deadlock import is_west_first_path
 from repro.noc.resources import INFEASIBLE_COST, ResourceState
+from repro.noc.slot_table import slots_needed_cached
 from repro.noc.topology import Topology
 from repro.params import MapperConfig
 
@@ -287,57 +290,46 @@ class PathSelector:
         state: ResourceState,
         source_core: str,
         destination_core: str,
+        source_switch: int,
+        destination_switch: int,
         bandwidth: float,
         guaranteed: bool = True,
-        required_slots: Optional[Tuple[int, ...]] = None,
         max_hops: Optional[int] = None,
-    ) -> Optional[Tuple[Tuple[int, ...], float]]:
-        """The cheapest feasible path for a flow in one resource state.
+    ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """Steps 4–5 of Algorithm 2 for one core pair in one group's state.
 
-        Both cores must already be attached in ``state``.  Returns
-        ``(switch_path, cost)`` or ``None`` when no candidate path can carry
-        the flow (insufficient bandwidth or slots, or the hop budget derived
-        from the latency constraint is exceeded on every candidate).
+        Returns the cheapest candidate path between the cores' switches on
+        which the reservation succeeds, with its starting slots (``()`` for
+        best-effort flows and same-switch paths), or ``None`` when no
+        candidate within the hop budget ``max_hops`` can carry the flow.
+        Candidates are ranked by :meth:`ResourceState.path_cost` and tried
+        in (cost, path) order with :meth:`ResourceState.can_reserve`.  A pair
+        with a single candidate skips the ranking: the reservation checks
+        are a superset of the cost's feasibility checks, so they accept and
+        reject exactly the same path.  Nothing is committed; the caller
+        passes the answer to :meth:`ResourceState.reserve`.
         """
-        source_switch = state.switch_of(source_core)
-        destination_switch = state.switch_of(destination_core)
-        if source_switch is None or destination_switch is None:
-            raise RoutingError(
-                f"both cores must be mapped before path selection "
-                f"({source_core!r} -> {destination_core!r})"
-            )
+        paths = self.candidate_paths(source_switch, destination_switch)
+        needed = slots_needed_cached(bandwidth, state.capacity, state.size) if guaranteed else 0
+        if len(paths) == 1:
+            path = paths[0]
+            if max_hops is not None and len(path) - 1 > max_hops:
+                return None
+            starts = state.can_reserve(source_core, destination_core, path, bandwidth, needed)
+            return None if starts is None else (path, starts)
+        config = self.config
         ranked: List[Tuple[float, Tuple[int, ...]]] = []
-        for path in self.candidate_paths(source_switch, destination_switch):
+        for path in paths:
             if max_hops is not None and len(path) - 1 > max_hops:
                 continue
-            cost = state.path_cost(path, bandwidth, self.config, guaranteed=guaranteed)
+            cost = state.path_cost(path, bandwidth, needed, config)
             if cost != INFEASIBLE_COST:
                 ranked.append((cost, path))
-        if not ranked:
-            return None
-        # The cheapest candidate is almost always reservable; try it before
-        # paying for a full sort of the ranking.
-        best_cost, best_path = min(ranked)
-        if state.can_reserve(
-            source_core,
-            destination_core,
-            best_path,
-            bandwidth,
-            guaranteed=guaranteed,
-            required_slots=required_slots,
-        ):
-            return best_path, best_cost
         ranked.sort()
-        for cost, path in ranked[1:]:
-            if state.can_reserve(
-                source_core,
-                destination_core,
-                path,
-                bandwidth,
-                guaranteed=guaranteed,
-                required_slots=required_slots,
-            ):
-                return path, cost
+        for _cost, path in ranked:
+            starts = state.can_reserve(source_core, destination_core, path, bandwidth, needed)
+            if starts is not None:
+                return path, starts
         return None
 
     def clear_cache(self) -> None:

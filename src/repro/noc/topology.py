@@ -108,8 +108,8 @@ class Topology:
         for source, destination in links:
             self._add_link(source, destination)
         # Topologies are immutable after construction, so the sorted link
-        # tuple is computed lazily once and reused (every ResourceState
-        # builds its link set from it, and its link-load views walk it).
+        # tuple is computed lazily once and reused (validation and the
+        # link-load views walk it).
         self._links_cache: Optional[Tuple[Link, ...]] = None
 
     def _add_link(self, source: int, destination: int) -> None:

@@ -116,9 +116,8 @@ class AnnealingRefiner:
         # that final call assembly-only).  Results are pure functions of
         # the placement, so this is decision-for-decision identical to
         # materialising every accepted move.  The candidate screen answers
-        # the same costs through the same cache hierarchy without copying
-        # a ResourceState per candidate, returning None exactly where
-        # placement_cost raises MappingError.
+        # the same costs through the same cache hierarchy, returning None
+        # exactly where placement_cost raises MappingError.
         candidate_screen = (
             engine.screener(spec, result.topology, groups=group_spec)
             if self.screen

@@ -130,7 +130,7 @@ class CandidateScreen:
         core_names = self._core_names
         if any(name not in placement for name in core_names):
             return ScreenedCandidate(True, None, 0.0)
-        if self._engine._placement_fault(self._topology, placement) is not None:
+        if self._engine.mapper.placement_fault(self._topology, placement) is not None:
             return ScreenedCandidate(False, None, math.inf)
         memo = self._memo
         distance = self._distance
@@ -185,7 +185,7 @@ class CandidateScreen:
                 )
             except MappingError:
                 return None
-        if self._engine._placement_fault(self._topology, placement) is not None:
+        if self._engine.mapper.placement_fault(self._topology, placement) is not None:
             return None
         values: List[float] = []
         for requirement in bundle.requirements:

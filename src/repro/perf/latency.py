@@ -83,13 +83,16 @@ def latency_hop_budget(
         )
     if slots_owned <= 0:
         raise ConfigurationError(f"slots_owned must be positive, got {slots_owned}")
-    budget_cycles = latency_constraint / params.slot_duration
     slot_wait = math.ceil(params.slot_table_size / slots_owned)
-    hops = math.floor(budget_cycles - slot_wait - NI_OVERHEAD_CYCLES)
-    if hops >= 0:
-        return hops
-    # A same-switch placement only pays the NI overhead; allow it when that
-    # alone fits the constraint.
-    if NI_OVERHEAD_CYCLES * params.cycle_time <= latency_constraint:
-        return 0
-    return -1
+    budget_cycles = latency_constraint / params.slot_duration
+    # The quotient can land just under an integer when the constraint equals
+    # a path's bound exactly, so the floor is only an estimate (off by at
+    # most one): step it to the exact inverse of worst_case_latency, which
+    # is increasing in the hop count.  A same-switch placement (0 hops)
+    # only pays the NI overhead.
+    hops = max(0, math.floor(budget_cycles - slot_wait - NI_OVERHEAD_CYCLES))
+    while worst_case_latency(hops + 1, slots_owned, params) <= latency_constraint:
+        hops += 1
+    while hops >= 0 and worst_case_latency(hops, slots_owned, params) > latency_constraint:
+        hops -= 1
+    return hops

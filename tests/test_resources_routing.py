@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import MapperConfig, NoCParameters, ResourceError, RoutingError, TopologyError
+from repro import MapperConfig, NoCParameters
 from repro.noc.deadlock import (
     channel_dependency_graph,
     is_deadlock_free,
@@ -13,324 +13,164 @@ from repro.noc.deadlock import (
 from repro.noc.failures import FailureSet
 from repro.noc.resources import INFEASIBLE_COST, ResourceState
 from repro.noc.routing import PathSelector, mesh_minimal_paths, xy_path
-from repro.noc.slot_table import SlotTable
+from repro.noc.slot_table import slots_needed
 from repro.noc.topology import Topology
 from repro.units import mbps
 
 
 @pytest.fixture
-def mesh():
-    return Topology.mesh(2, 2)
+def state(params):
+    return ResourceState(params)
 
 
-@pytest.fixture
-def state(mesh, params):
-    state = ResourceState(mesh, params, name="uc")
-    state.attach_core("a", 0)
-    state.attach_core("b", 3)
-    state.attach_core("c", 1)
-    return state
+def _needed(bandwidth, params):
+    return slots_needed(bandwidth, params.link_capacity, params.slot_table_size)
+
+
+def _reserve(state, source, destination, path, bandwidth, params, guaranteed=True):
+    """Find slots with ``can_reserve`` and commit them; returns the starts."""
+    needed = _needed(bandwidth, params) if guaranteed else 0
+    starts = state.can_reserve(source, destination, path, bandwidth, needed)
+    assert starts is not None
+    state.reserve(source, destination, path, bandwidth, starts)
+    return starts
 
 
 # --------------------------------------------------------------------------- #
 # ResourceState
 # --------------------------------------------------------------------------- #
 def test_initial_residuals_equal_capacity(state, params):
-    for link in state.topology.links:
-        assert state.link_residual(link) == pytest.approx(params.link_capacity)
-    assert state.ingress_residual("a") == pytest.approx(params.link_capacity)
-    assert state.max_link_utilization() == 0.0
-
-
-def test_attach_core_idempotent_and_conflicting(state):
-    state.attach_core("a", 0)  # same switch: fine
-    with pytest.raises(ResourceError):
-        state.attach_core("a", 1)
-
-
-def test_attach_core_respects_switch_limit(mesh):
-    params = NoCParameters(max_cores_per_switch=1)
-    state = ResourceState(mesh, params)
-    state.attach_core("a", 0)
-    with pytest.raises(ResourceError):
-        state.attach_core("b", 0)
-
-
-def test_attach_core_unknown_switch(state):
-    with pytest.raises(TopologyError):
-        state.attach_core("z", 99)
-
-
-def test_reserve_replans_when_tables_mutated_after_can_reserve(state, params):
-    # The can_reserve -> reserve plan cache must not hand out a stale
-    # assignment when the live table was mutated in between through the
-    # public slot_table() accessor.
-    path = (0, 1, 3)
-    bandwidth = params.link_capacity / params.slot_table_size * 2  # 2 slots
-    assert state.can_reserve("a", "b", path, bandwidth)
-    external = state.slot_table((0, 1)).reserve("ext", [0, 1])
-    reservation = state.reserve("f1", "a", "b", path, bandwidth)
-    # The external reservation survives untouched and f1 got different slots.
-    assert state.slot_table((0, 1)).slots_owned_by("ext") == (0, 1)
-    assert not set(reservation.link_slots[(0, 1)]) & {0, 1}
-    state.slot_table((0, 1)).release(external)
+    assert (state.link_residual, state.free_masks) == ({}, {})
+    assert (state.ingress, state.egress) == ({}, {})
+    # Untouched links and NI access links carry a whole link's bandwidth in
+    # every slot.
+    size = params.slot_table_size
+    starts = state.can_reserve("a", "b", (0, 1, 3), params.link_capacity, size)
+    assert starts == tuple(range(size))
+    assert state.path_cost((0, 1, 3), params.link_capacity, size, MapperConfig()) != (
+        INFEASIBLE_COST
+    )
 
 
 def test_reserve_updates_residuals_and_slots(state, params):
     path = (0, 1, 3)
-    reservation = state.reserve("f1", "a", "b", path, mbps(250))
-    assert state.link_residual((0, 1)) == pytest.approx(params.link_capacity - mbps(250))
-    assert state.ingress_residual("a") == pytest.approx(params.link_capacity - mbps(250))
-    assert state.egress_residual("b") == pytest.approx(params.link_capacity - mbps(250))
-    expected_slots = state.slots_for_bandwidth(mbps(250))
-    assert reservation.slots_per_link == expected_slots
-    assert state.slot_table((0, 1)).used_count == expected_slots
-    # Pipelined: the second link's slots are the first's shifted by one.
+    starts = _reserve(state, "a", "b", path, mbps(250), params)
+    assert state.link_residual[(0, 1)] == pytest.approx(params.link_capacity - mbps(250))
+    assert state.ingress["a"] == pytest.approx(params.link_capacity - mbps(250))
+    assert state.egress["b"] == pytest.approx(params.link_capacity - mbps(250))
+    assert len(starts) == _needed(mbps(250), params)
     size = params.slot_table_size
-    first = reservation.link_slots[(0, 1)]
-    second = reservation.link_slots[(1, 3)]
-    assert sorted((slot + 1) % size for slot in first) == sorted(second)
+    assert size - state.free_masks[(0, 1)].bit_count() == len(starts)
+    # Pipelined: the second link's slots are the first's shifted by one.
+    first = {slot for slot in range(size) if not state.free_masks[(0, 1)] >> slot & 1}
+    second = {slot for slot in range(size) if not state.free_masks[(1, 3)] >> slot & 1}
+    assert first == set(starts)
+    assert {(slot + 1) % size for slot in first} == second
 
 
-def test_release_restores_everything(state, params):
-    reservation = state.reserve("f1", "a", "b", (0, 1, 3), mbps(500))
-    state.release(reservation)
-    assert state.link_residual((0, 1)) == pytest.approx(params.link_capacity)
-    assert state.slot_table((0, 1)).free_count == params.slot_table_size
-    assert state.ingress_residual("a") == pytest.approx(params.link_capacity)
-    with pytest.raises(ResourceError):
-        state.release(reservation)
-
-
-def test_release_accepts_copied_and_equal_reservations(state, params):
-    # O(1) identity release must keep the historical equality semantics: a
-    # reservation carried into a copy (same object) and an equal-but-distinct
-    # record both release fine; a never-held one still raises.
-    reservation = state.reserve("f1", "a", "b", (0, 1, 3), mbps(500))
-    duplicate = state.copy("dup")
-    duplicate.release(reservation)  # same object held by the copy
-    assert duplicate.link_residual((0, 1)) == pytest.approx(params.link_capacity)
-
-    from repro.noc.resources import PathReservation
-
-    equal = PathReservation(
-        flow_id=reservation.flow_id,
-        source_core=reservation.source_core,
-        destination_core=reservation.destination_core,
-        switch_path=reservation.switch_path,
-        bandwidth=reservation.bandwidth,
-        link_slots=dict(reservation.link_slots),
-        guaranteed=reservation.guaranteed,
-    )
-    state.release(equal)  # equality fallback
-    assert state.link_residual((0, 1)) == pytest.approx(params.link_capacity)
-    with pytest.raises(ResourceError):
-        state.release(equal)
-
-
-def test_release_is_constant_time_under_many_reservations(state):
-    # Smoke-check the dict-backed bookkeeping: release from the middle of a
-    # large reservation population and confirm exact accounting.
-    held = [
-        state.reserve(f"f{i}", "a", "b", (0, 1, 3), mbps(1), guaranteed=False)
-        for i in range(200)
-    ]
-    for reservation in held[50:150]:
-        state.release(reservation)
-    assert len(state.reservations) == 100
-
-
-def test_same_switch_reservation_uses_no_links(state):
-    state.attach_core("d", 0)
-    reservation = state.reserve("f1", "a", "d", (0,), mbps(100))
-    assert reservation.hop_count == 0
-    assert reservation.link_slots == {}
-    assert state.max_link_utilization() == 0.0
+def test_same_switch_reservation_uses_no_links(state, params):
+    assert _reserve(state, "a", "d", (0,), mbps(100), params) == ()
+    assert (state.link_residual, state.free_masks) == ({}, {})
+    assert state.ingress["a"] == pytest.approx(params.link_capacity - mbps(100))
 
 
 def test_reserve_rejects_overcommitted_bandwidth(state, params):
-    state.reserve("f1", "a", "b", (0, 1, 3), params.link_capacity * 0.9)
-    assert not state.can_reserve("a", "b", (0, 1, 3), params.link_capacity * 0.2)
-    with pytest.raises(ResourceError):
-        state.reserve("f2", "a", "b", (0, 1, 3), params.link_capacity * 0.2)
+    _reserve(state, "a", "b", (0, 1, 3), params.link_capacity * 0.9, params)
+    bandwidth = params.link_capacity * 0.2
+    needed = _needed(bandwidth, params)
+    # the path's links and both cores' NI links are short of bandwidth
+    assert state.can_reserve("a", "b", (0, 1, 3), bandwidth, needed) is None
+    assert state.can_reserve("c", "b", (1, 3), bandwidth, needed) is None
+    assert state.can_reserve("a", "c", (0, 2, 3, 1), bandwidth, needed) is None
+    assert state.can_reserve("c", "d", (1, 0, 2), bandwidth, needed) is not None
 
 
-def test_reserve_checks_endpoint_switches(state):
-    # Path must start/end at the cores' switches.
-    assert not state.can_reserve("a", "b", (1, 3), mbps(10))
-    assert not state.can_reserve("a", "b", (0, 2), mbps(10))
-
-
-def test_reserve_best_effort_skips_slot_tables(state):
-    reservation = state.reserve("f1", "a", "b", (0, 1, 3), mbps(300), guaranteed=False)
-    assert reservation.link_slots == {}
-    assert state.slot_table((0, 1)).used_count == 0
+def test_reserve_best_effort_skips_slot_tables(state, params):
+    assert _reserve(state, "a", "b", (0, 1, 3), mbps(300), params, guaranteed=False) == ()
+    assert state.free_masks == {}
     # Bandwidth is still accounted for.
-    assert state.link_residual((0, 1)) < state.params.link_capacity
+    assert state.link_residual[(0, 1)] < params.link_capacity
 
 
-def test_path_cost_prefers_short_and_unloaded_paths(state, config):
-    short = state.path_cost((0, 1, 3), mbps(100), config)
-    long = state.path_cost((0, 2, 3), mbps(100), config)
+def test_path_cost_prefers_short_and_unloaded_paths(state, config, params):
+    needed = _needed(mbps(100), params)
+    short = state.path_cost((0, 1, 3), mbps(100), needed, config)
+    long = state.path_cost((0, 2, 3), mbps(100), needed, config)
     assert short == pytest.approx(long)  # both 2 hops, both empty
-    state.reserve("f1", "a", "b", (0, 1, 3), mbps(900))
-    assert state.path_cost((0, 1, 3), mbps(100), config) > state.path_cost(
-        (0, 2, 3), mbps(100), config
+    _reserve(state, "a", "b", (0, 1, 3), mbps(900), params)
+    assert state.path_cost((0, 1, 3), mbps(100), needed, config) > state.path_cost(
+        (0, 2, 3), mbps(100), needed, config
     )
 
 
 def test_path_cost_infeasible_when_bandwidth_missing(state, config, params):
-    state.reserve("f1", "a", "b", (0, 1, 3), params.link_capacity)
-    assert state.path_cost((0, 1, 3), mbps(10), config) == INFEASIBLE_COST
+    _reserve(state, "a", "b", (0, 1, 3), params.link_capacity, params)
+    needed = _needed(mbps(10), params)
+    assert state.path_cost((0, 1, 3), mbps(10), needed, config) == INFEASIBLE_COST
 
 
-def test_required_slots_reservation(state, params):
-    # Force specific starting slots (group-shared configuration replay).
-    # 50 MB/s fits in a single 62.5 MB/s slot at the reference operating point.
-    reservation = state.reserve("f1", "a", "b", (0, 1, 3), mbps(50), required_slots=(5,))
-    assert reservation.link_slots[(0, 1)] == (5,)
-    assert reservation.link_slots[(1, 3)] == ((5 + 1) % params.slot_table_size,)
+def test_copy_is_independent(state, params):
+    duplicate = state.copy()
+    _reserve(state, "a", "b", (0, 1, 3), mbps(100), params)
+    assert duplicate.free_masks == {}
+    assert (duplicate.link_residual, duplicate.ingress, duplicate.egress) == ({}, {}, {})
 
 
-def test_copy_is_independent(state):
-    duplicate = state.copy("copy")
-    state.reserve("f1", "a", "b", (0, 1, 3), mbps(100))
-    assert duplicate.slot_table((0, 1)).used_count == 0
-    assert len(duplicate.reservations) == 0
+def test_copying_a_pristine_state_builds_no_slot_table(params):
+    # A group state holds only the links it reserved: copying the pristine
+    # state builds nothing, and a reservation touches only its own links.
+    duplicate = ResourceState(params).copy()
+    assert (duplicate.link_residual, duplicate.free_masks) == ({}, {})
+    _reserve(duplicate, "a", "b", (0, 1, 2), mbps(100), params)
+    assert sorted(duplicate.free_masks) == sorted(duplicate.link_residual) == [(0, 1), (1, 2)]
 
 
-def test_link_loads_and_total_reserved(state):
-    state.reserve("f1", "a", "b", (0, 1, 3), mbps(100))
-    loads = state.link_loads()
-    assert loads[(0, 1)] == pytest.approx(mbps(100))
-    assert state.total_reserved_bandwidth() == pytest.approx(mbps(200))  # two links
-
-
-def test_release_frees_only_the_released_reservations_slots(state, params):
-    # Two reservations of one flow id on the same links: releasing one must
-    # leave the other's slots reserved, matching the residual still charged.
-    first = state.reserve("f", "a", "b", (0, 1, 3), mbps(100))
-    second = state.reserve("f", "a", "b", (0, 1, 3), mbps(100))
-    assert state.slot_table((0, 1)).used_count == 4
-    state.release(first)
-    table = state.slot_table((0, 1))
-    assert table.used_count == 2
-    assert table.slots_owned_by("f") == second.link_slots[(0, 1)]
-    assert state.link_residual((0, 1)) == params.link_capacity - mbps(100)
-    state.release(second)
-    assert table.used_count == 0
-
-
-def test_failed_release_leaves_the_state_unchanged(state, params):
-    reservation = state.reserve("f", "a", "b", (0, 1, 3), mbps(100))
-    # Free the second hop's slots behind the state's back.
-    state.slot_table((1, 3)).release_flow("f")
-    with pytest.raises(ResourceError):
-        state.release(reservation)
-    assert state.reservations == (reservation,)
-    assert state.link_residual((0, 1)) == params.link_capacity - mbps(100)
-    assert state.slot_table((0, 1)).slots_owned_by("f") == reservation.link_slots[(0, 1)]
-    assert state.ingress_residual("a") == params.link_capacity - mbps(100)
-
-
-def test_unknown_and_failed_links_raise_topology_error(params):
-    pristine = Topology.mesh(2, 2)
-    degraded = pristine.with_failures(FailureSet().mark_link_down(0, 1))
-    cases = (
-        (pristine, (0, 3)),   # the diagonal: both switches exist, no link
-        (pristine, (4, 5)),   # no such switches
-        (degraded, (0, 1)),   # failed
-    )
-    for topology, link in cases:
-        state = ResourceState(topology, params)
-        with pytest.raises(TopologyError):
-            state.link_residual(link)
-        with pytest.raises(TopologyError):
-            state.slot_table(link)
-        if link[1] < topology.switch_count:
-            state.attach_core("a", link[0])
-            state.attach_core("b", link[1])
-            with pytest.raises(TopologyError):
-                state.reserve("f", "a", "b", link, mbps(10))
-            assert state.reservations == ()
-
-
-def test_copying_a_pristine_state_builds_no_slot_table(monkeypatch, params):
-    # A group state holds only the links it reserved: neither building nor
-    # copying the pristine template of a 16x16 mesh may build its 960 tables.
-    built = []
-    original = SlotTable.__init__
-
-    def counting_init(self, size):
-        built.append(size)
-        original(self, size)
-
-    monkeypatch.setattr(SlotTable, "__init__", counting_init)
-    topology = Topology.mesh(16, 16)
-    duplicate = ResourceState(topology, params, name="pristine").copy("group-0")
-    assert built == []
-    assert duplicate.link_residual((0, 1)) == params.link_capacity
-    assert duplicate.max_link_utilization() == 0.0
-    assert len(duplicate.link_loads()) == topology.link_count == 960
-
-
-#: core -> switch on a 2x2 mesh, and the paths the model test reserves along
+#: core -> switch on a 2x2 mesh; the model test reserves between these pairs
 _MODEL_CORES = {"a": 0, "b": 3, "c": 1}
-_MODEL_PATHS = (
-    ("a", "b", (0, 1, 3)), ("a", "b", (0, 2, 3)), ("b", "a", (3, 1, 0)),
-    ("b", "a", (3, 2, 0)), ("a", "c", (0, 1)), ("c", "b", (1, 3)),
-    ("c", "a", (1, 0)), ("a", "a", (0,)),
-)
+_MODEL_PAIRS = (("a", "b"), ("b", "a"), ("a", "c"), ("c", "b"), ("c", "a"), ("a", "a"))
 _MODEL_OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("attach"), st.sampled_from(sorted(_MODEL_CORES))),
         st.tuples(
             st.just("reserve"),
-            st.integers(0, len(_MODEL_PATHS) - 1),  # path
+            st.integers(0, len(_MODEL_PAIRS) - 1),  # core pair
+            st.integers(0, 3),                       # candidate path
             st.integers(1, 8),                       # bandwidth in slots
             st.booleans(),                           # guaranteed
-            st.sampled_from(["f", "g"]),             # flow id (reused on purpose)
-            st.booleans(),                           # probe can_reserve first
         ),
-        st.tuples(st.just("release"), st.integers(0, 7)),
         st.tuples(st.just("copy")),
-        st.tuples(st.just("touch"), st.integers(0, 7)),
     ),
     min_size=10,
     max_size=40,
 )
 
 
-def _model_view(state, links):
-    """(link residuals, free masks, NI residuals) read through the public API.
-
-    Slot tables are read from a throwaway copy, so the check itself never
-    materialises a table in the state under test.
-    """
-    probe = state.copy("probe")
-    residuals = {link: state.link_residual(link) for link in links}
-    masks = {link: probe.slot_table(link).free_mask for link in links}
+def _model_view(state, links, cores):
+    """(link residuals, free masks, NI residuals) read through the defaults."""
+    capacity = state.capacity
+    full = state.full_mask
+    residuals = {link: state.link_residual.get(link, capacity) for link in links}
+    masks = {link: state.free_masks.get(link, full) for link in links}
     ni = {
-        core: (state.ingress_residual(core), state.egress_residual(core))
-        for core in state.core_mapping
+        core: (state.ingress.get(core, capacity), state.egress.get(core, capacity))
+        for core in cores
     }
     return residuals, masks, ni
 
 
 def _model_expectation(held, cores, links, capacity, size):
+    """What the held ``(source, destination, path, bandwidth, starts)``
+    reservations imply, rebuilt from scratch link by link."""
     full = (1 << size) - 1
     residuals = {link: capacity for link in links}
     masks = dict.fromkeys(links, full)
     ni = {core: [capacity, capacity] for core in cores}
-    for reservation in held:
-        path = reservation.switch_path
-        for link in zip(path, path[1:]):
-            residuals[link] -= reservation.bandwidth
-        for link, slots in reservation.link_slots.items():
-            for slot in slots:
-                masks[link] &= ~(1 << slot)
-        ni[reservation.source_core][0] -= reservation.bandwidth
-        ni[reservation.destination_core][1] -= reservation.bandwidth
+    for source, destination, path, bandwidth, starts in held:
+        for hop, link in enumerate(_model_links(path)):
+            residuals[link] -= bandwidth
+            for start in starts:
+                masks[link] &= ~(1 << (start + hop) % size)
+        ni[source][0] -= bandwidth
+        ni[destination][1] -= bandwidth
     return residuals, masks, {core: tuple(pair) for core, pair in ni.items()}
 
 
@@ -338,8 +178,6 @@ def _model_plan(held, cores, all_links, path, bandwidth, guaranteed, capacity, s
     """Independent feasibility model: the starting slots a reservation gets,
     ``()`` when it needs none, or ``None`` when it must fail."""
     source, destination, switches = path
-    if cores.get(source) != switches[0] or cores.get(destination) != switches[-1]:
-        return None
     residuals, masks, ni = _model_expectation(held, cores, all_links, capacity, size)
     if ni[source][0] < bandwidth or ni[destination][1] < bandwidth:
         return None
@@ -362,12 +200,13 @@ def _model_links(switches):
 
 @pytest.mark.parametrize("failed", [False, True], ids=["pristine", "failed-link"])
 @settings(max_examples=60, deadline=None)
-@given(attached=st.lists(st.sampled_from(sorted(_MODEL_CORES)), max_size=4), ops=_MODEL_OPS)
-def test_resource_state_matches_reservation_model(failed, attached, ops):
-    # Residuals and free masks must equal what the held reservations imply,
-    # on every link, after every step; copies are frozen snapshots.  Most
-    # sequences start with some cores attached, so that reservations (often
-    # several of one flow id on shared links) succeed and get released.
+@given(ops=_MODEL_OPS)
+def test_resource_state_matches_reservation_model(failed, ops):
+    # can_reserve must find exactly the model's starts (or refuse exactly
+    # when it does), and after every reserve the residuals and free masks
+    # must equal what the held reservations imply, on every link; copies
+    # are frozen snapshots.  Paths are the candidates a PathSelector offers
+    # on the mesh, so the failed-link mesh never offers its failed link.
     # Bandwidths are whole slots, so every residual is an exact float.
     params = NoCParameters()
     capacity = params.link_capacity
@@ -376,59 +215,35 @@ def test_resource_state_matches_reservation_model(failed, attached, ops):
     if failed:
         topology = topology.with_failures(FailureSet().mark_link_down(1, 3))
     links = topology.links
-    state = ResourceState(topology, params, name="model")
-    cores = {}
+    selector = PathSelector(topology, MapperConfig())
+    state = ResourceState(params)
+    cores = sorted(_MODEL_CORES)
     held = []
     snapshots = []
-    for op in [("attach", core) for core in attached] + ops:
-        kind = op[0]
-        if kind == "attach":
-            state.attach_core(op[1], _MODEL_CORES[op[1]])
-            cores[op[1]] = _MODEL_CORES[op[1]]
-        elif kind == "reserve":
-            _kind, index, slots, guaranteed, flow_id, probe = op
-            path = _MODEL_PATHS[index]
+    for op in ops:
+        if op[0] == "reserve":
+            _kind, pair, choice, slots, guaranteed = op
+            source, destination = _MODEL_PAIRS[pair]
+            candidates = selector.candidate_paths(
+                _MODEL_CORES[source], _MODEL_CORES[destination]
+            )
+            path = candidates[choice % len(candidates)]
+            assert all(topology.has_link(*link) for link in _model_links(path))
             bandwidth = slots * (capacity / size)
-            if not all(topology.has_link(*link) for link in _model_links(path[2])):
-                with pytest.raises((ResourceError, TopologyError)):
-                    state.reserve(flow_id, *path, bandwidth, guaranteed=guaranteed)
-                continue
-            expected = _model_plan(held, cores, links, path, bandwidth, guaranteed,
-                                   capacity, size)
-            if probe:
-                assert state.can_reserve(*path, bandwidth, guaranteed=guaranteed) == (
-                    expected is not None
-                )
-            if expected is None:
-                with pytest.raises(ResourceError):
-                    state.reserve(flow_id, *path, bandwidth, guaranteed=guaranteed)
-                continue
-            reservation = state.reserve(flow_id, *path, bandwidth, guaranteed=guaranteed)
-            # The lowest admissible starts, advanced one slot per hop.
-            hops = _model_links(path[2]) if expected else []
-            assert reservation.link_slots == {
-                link: tuple(sorted((start + hop) % size for start in expected))
-                for hop, link in enumerate(hops)
-            }
-            held.append(reservation)
-        elif kind == "release":
-            if not held:
-                continue
-            reservation = held.pop(op[1] % len(held))
-            state.release(reservation)
-            if reservation not in held:  # an equal record would release its twin
-                with pytest.raises(ResourceError):
-                    state.release(reservation)
-        elif kind == "copy":
-            snapshots.append((state.copy(f"copy-{len(snapshots)}"), _model_view(state, links)))
+            expected = _model_plan(held, _MODEL_CORES, links, (source, destination, path),
+                                   bandwidth, guaranteed, capacity, size)
+            needed = slots if guaranteed else 0
+            assert state.can_reserve(source, destination, path, bandwidth, needed) == expected
+            if expected is not None:
+                state.reserve(source, destination, path, bandwidth, expected)
+                held.append((source, destination, path, bandwidth, expected))
         else:
-            # Hand out a live table: the link's state is materialised, not changed.
-            state.slot_table(links[op[1] % len(links)])
-        assert _model_view(state, links) == _model_expectation(
+            snapshots.append((state.copy(), _model_view(state, links, cores)))
+        assert _model_view(state, links, cores) == _model_expectation(
             held, cores, links, capacity, size
         )
         for duplicate, view in snapshots:
-            assert _model_view(duplicate, links) == view
+            assert _model_view(duplicate, links, cores) == view
 
 
 # --------------------------------------------------------------------------- #
@@ -549,26 +364,21 @@ def test_path_selector_k_shortest_allows_detours():
     assert any(length > 1 for length in lengths)
 
 
-def test_select_least_cost_requires_mapped_cores(state, config):
-    selector = PathSelector(state.topology, config)
-    with pytest.raises(RoutingError):
-        selector.select_least_cost(state, "a", "unmapped", mbps(10))
-
-
 def test_select_least_cost_avoids_congested_path(state, config, params):
-    selector = PathSelector(state.topology, config)
+    selector = PathSelector(Topology.mesh(2, 2), config)
     # Congest the (1, 3) link with traffic from core c (on switch 1) to b.
-    state.reserve("hot", "c", "b", (1, 3), params.link_capacity * 0.55)
-    selection = selector.select_least_cost(state, "a", "b", mbps(200))
+    _reserve(state, "c", "b", (1, 3), params.link_capacity * 0.55, params)
+    selection = selector.select_least_cost(state, "a", "b", 0, 3, mbps(200))
     assert selection is not None
-    path, _ = selection
+    path, starts = selection
     assert path == (0, 2, 3)
+    assert starts == state.can_reserve("a", "b", path, mbps(200), _needed(mbps(200), params))
 
 
 def test_select_least_cost_respects_max_hops(state, config):
-    selector = PathSelector(state.topology, config)
-    assert selector.select_least_cost(state, "a", "b", mbps(10), max_hops=1) is None
-    assert selector.select_least_cost(state, "a", "c", mbps(10), max_hops=1) is not None
+    selector = PathSelector(Topology.mesh(2, 2), config)
+    assert selector.select_least_cost(state, "a", "b", 0, 3, mbps(10), max_hops=1) is None
+    assert selector.select_least_cost(state, "a", "c", 0, 1, mbps(10), max_hops=1) is not None
 
 
 # --------------------------------------------------------------------------- #

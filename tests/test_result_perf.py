@@ -1,5 +1,7 @@
 """Tests for mapping results, latency bounds, the TDMA simulator and verification."""
 
+import math
+
 import pytest
 
 from repro import (
@@ -105,6 +107,22 @@ def test_latency_hop_budget_inverts_bound(params):
     assert budget >= 0
     assert worst_case_latency(budget, 1, params) <= constraint
     assert worst_case_latency(budget + 1, 1, params) > constraint
+
+
+def test_latency_hop_budget_is_exact_at_every_path_bound():
+    # A constraint equal to a path's worst-case bound admits that path (the
+    # referee accepts it), and one just below it does not: the budget is
+    # the largest hop count whose bound meets the constraint, never one
+    # short because the float quotient landed just under an integer.
+    for frequency in range(100, 1300, 100):
+        params = NoCParameters(frequency_hz=mhz(frequency))
+        for slots in range(1, params.slot_table_size + 1):
+            for hops in range(40):
+                constraint = worst_case_latency(hops, slots, params)
+                case = (frequency, slots, hops)
+                assert latency_hop_budget(constraint, slots, params) == hops, case
+                below = math.nextafter(constraint, 0.0)
+                assert latency_hop_budget(below, slots, params) == hops - 1, case
 
 
 def test_latency_hop_budget_infeasible_constraint(params):

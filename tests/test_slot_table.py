@@ -1,24 +1,24 @@
-"""Tests for TDMA slot tables and pipelined reservations."""
+"""Tests for TDMA slot arithmetic and the pipelined slot search."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import ConfigurationError, ResourceError
+from repro import ConfigurationError, NoCParameters, ResourceError
+from repro.noc.resources import ResourceState
 from repro.noc.slot_table import (
-    SlotTable,
-    find_pipelined_slots,
     pipelined_free_mask,
+    pipelined_link_slots,
     slots_needed,
     slots_needed_cached,
 )
 
 
 class ReferenceSlotTable:
-    """List-based reference model of :class:`SlotTable` (the seed semantics).
+    """List-based reference model of one link's slot table (the seed semantics).
 
-    Used by the property tests below to check that the bitmask
-    implementation is behaviourally identical to a straightforward
-    owner-list implementation under arbitrary operation sequences.
+    Used by the property tests below to check that the bitmask search of
+    :meth:`ResourceState.can_reserve` is behaviourally identical to a
+    straightforward owner-list scan.
     """
 
     def __init__(self, size):
@@ -26,31 +26,9 @@ class ReferenceSlotTable:
         self.owner = [None] * size
 
     def reserve(self, flow_id, slots):
-        requested = tuple(slots)
-        if not requested or len(set(requested)) != len(requested):
-            raise ResourceError("bad reservation")
-        for slot in requested:
-            if self.owner[slot] is not None:
-                raise ResourceError("conflict")
-        for slot in requested:
+        for slot in slots:
+            assert self.owner[slot] is None
             self.owner[slot] = flow_id
-
-    def release_flow(self, flow_id):
-        freed = 0
-        for idx, owner in enumerate(self.owner):
-            if owner == flow_id:
-                self.owner[idx] = None
-                freed += 1
-        return freed
-
-    def free_count(self):
-        return sum(1 for owner in self.owner if owner is None)
-
-    def free_slots(self):
-        return tuple(idx for idx, owner in enumerate(self.owner) if owner is None)
-
-    def slots_owned_by(self, flow_id):
-        return tuple(idx for idx, owner in enumerate(self.owner) if owner == flow_id)
 
     def find_pipelined(self, tables, needed):
         """Brute-force pipelined search over reference tables."""
@@ -68,6 +46,21 @@ class ReferenceSlotTable:
         if len(admissible) < needed:
             return None
         return tuple(admissible[:needed])
+
+
+def _state(size):
+    """A pristine group state with ``size``-slot tables."""
+    return ResourceState(NoCParameters(slot_table_size=size))
+
+
+def _block(state, hop, slot, tag):
+    """Take ``slot`` on link ``(hop, hop + 1)`` with a one-slot reservation."""
+    state.reserve(f"src-{tag}", f"dst-{tag}", (hop, hop + 1), 1.0, (slot,))
+
+
+def _search(state, hops, needed):
+    """The starting slots ``can_reserve`` finds along the path 0 -> hops."""
+    return state.can_reserve("a", "b", tuple(range(hops + 1)), 1.0, needed)
 
 
 # --------------------------------------------------------------------------- #
@@ -112,160 +105,67 @@ def test_slots_needed_provides_enough_bandwidth(bandwidth, slots):
 
 
 # --------------------------------------------------------------------------- #
-# SlotTable
+# slot tables as free masks
 # --------------------------------------------------------------------------- #
 def test_slot_table_initially_free():
-    table = SlotTable(8)
-    assert table.size == 8
-    assert table.free_count == 8
-    assert table.used_count == 0
-    assert table.utilization == 0.0
-    assert table.free_slots() == tuple(range(8))
-
-
-def test_slot_table_reserve_and_release():
-    table = SlotTable(8)
-    reservation = table.reserve("f1", [0, 3])
-    assert table.used_count == 2
-    assert table.owner_of(0) == "f1"
-    assert table.slots_owned_by("f1") == (0, 3)
-    table.release(reservation)
-    assert table.free_count == 8
-
-
-def test_slot_table_reserve_conflict_is_atomic():
-    table = SlotTable(8)
-    table.reserve("f1", [2])
-    with pytest.raises(ResourceError):
-        table.reserve("f2", [1, 2])
-    # Slot 1 must not have been taken by the failed reservation.
-    assert table.is_free(1)
-
-
-def test_slot_table_release_wrong_owner():
-    table = SlotTable(8)
-    table.reserve("f1", [0])
-    stolen = table.reserve("f2", [1])
-    table.release(stolen)
-    with pytest.raises(ResourceError):
-        table.release(stolen)  # double release
-
-
-def test_slot_table_release_flow():
-    table = SlotTable(8)
-    table.reserve("f1", [0, 1, 2])
-    assert table.release_flow("f1") == 3
-    assert table.free_count == 8
-    assert table.release_flow("missing") == 0
-
-
-def test_slot_table_clear_and_copy_independent():
-    table = SlotTable(4)
-    table.reserve("f1", [0])
-    duplicate = table.copy()
-    table.clear()
-    assert table.free_count == 4
-    assert duplicate.owner_of(0) == "f1"
-
-
-def test_slot_table_occupancy_mapping():
-    table = SlotTable(4)
-    table.reserve("f1", [1, 3])
-    assert table.occupancy() == {1: "f1", 3: "f1"}
-
-
-def test_slot_table_invalid_index():
-    table = SlotTable(4)
-    with pytest.raises(ResourceError):
-        table.is_free(9)
-    with pytest.raises(ResourceError):
-        table.reserve("f1", [-1])
+    state = _state(8)
+    assert state.full_mask == 0b11111111
+    assert state.free_masks == {}
+    # every slot of an untouched link is free
+    assert state.can_reserve("a", "b", (0, 1), 1.0, 8) == tuple(range(8))
 
 
 def test_slot_table_rejects_zero_size():
     with pytest.raises(ConfigurationError):
-        SlotTable(0)
+        NoCParameters(slot_table_size=0)
 
 
-def test_slot_reservation_rejects_duplicates_and_empty():
-    table = SlotTable(4)
-    with pytest.raises(ResourceError):
-        table.reserve("f1", [1, 1])
-    with pytest.raises(ResourceError):
-        table.reserve("f1", [])
+def test_slot_table_free_mask_tracks_reservations():
+    state = _state(8)
+    state.reserve("a", "b", (0, 1, 2), 1.0, (0, 3))
+    assert state.free_masks[(0, 1)] == 0b11110110
+    # the second hop carries every slot one position later
+    assert state.free_masks[(1, 2)] == 0b11101101
+    state.reserve("a", "b", (1, 2), 1.0, (7,))
+    assert state.free_masks[(1, 2)] == 0b01101101
+
+
+def test_pipelined_link_slots_rotate_per_hop():
+    assert pipelined_link_slots((0, 1, 2), (2, 3), 4) == {(0, 1): (2, 3), (1, 2): (0, 3)}
+    assert pipelined_link_slots((0, 1, 2), (), 4) == {}  # best effort
+    assert pipelined_link_slots((5,), (0,), 4) == {}     # same switch
 
 
 # --------------------------------------------------------------------------- #
 # pipelined path search
 # --------------------------------------------------------------------------- #
 def test_find_pipelined_slots_on_empty_tables():
-    tables = [SlotTable(8) for _ in range(3)]
-    assert find_pipelined_slots(tables, 2) == (0, 1)
+    assert _search(_state(8), 3, 2) == (0, 1)
 
 
 def test_find_pipelined_slots_respects_rotation():
-    first, second = SlotTable(4), SlotTable(4)
+    state = _state(4)
     # Slot s on the first link implies slot (s+1) mod 4 on the second.
-    second.reserve("other", [1])  # blocks start slot 0
-    starts = find_pipelined_slots([first, second], 1)
+    _block(state, 1, 1, "other")  # blocks start slot 0
+    starts = _search(state, 2, 1)
     assert starts is not None
     assert starts[0] != 0
 
 
 def test_find_pipelined_slots_exhausted():
-    first = SlotTable(2)
-    second = SlotTable(2)
-    first.reserve("a", [0])
-    second.reserve("b", [0])  # blocks start 1 (1+1 mod 2 == 0)
-    assert find_pipelined_slots([first, second], 1) is None
+    state = _state(2)
+    _block(state, 0, 0, "a")
+    _block(state, 1, 0, "b")  # blocks start 1 (1+1 mod 2 == 0)
+    assert _search(state, 2, 1) is None
 
 
 def test_find_pipelined_slots_demand_exceeding_size():
-    tables = [SlotTable(4)]
-    assert find_pipelined_slots(tables, 5) is None
-
-
-def test_find_pipelined_slots_requires_equal_sizes():
-    with pytest.raises(ConfigurationError):
-        find_pipelined_slots([SlotTable(4), SlotTable(8)], 1)
-
-
-def test_find_pipelined_slots_rejects_empty_path_and_bad_demand():
-    with pytest.raises(ResourceError):
-        find_pipelined_slots([], 1)
-    with pytest.raises(ResourceError):
-        find_pipelined_slots([SlotTable(4)], 0)
-
-
-def test_slot_table_free_mask_tracks_reservations():
-    table = SlotTable(8)
-    assert table.free_mask == 0b11111111
-    table.reserve("f1", [0, 3])
-    assert table.free_mask == 0b11110110
-    table.release_flow("f1")
-    assert table.free_mask == 0b11111111
-
-
-def test_slot_table_equality():
-    first, second = SlotTable(8), SlotTable(8)
-    assert first == second
-    first.reserve("f1", [2])
-    assert first != second
-    second.reserve("f1", [2])
-    assert first == second
-    second.release_flow("f1")
-    second.reserve("f2", [2])  # same free set, different owner
-    assert first != second
-    assert first != SlotTable(4)
-    assert first.__eq__("not a table") is NotImplemented
-    duplicate = first.copy()
-    assert duplicate == first
+    assert _search(_state(4), 1, 5) is None
 
 
 def test_pipelined_free_mask_matches_rotation_rule():
-    first, second = SlotTable(4), SlotTable(4)
-    second.reserve("other", [1])  # blocks start 0 on the second hop
-    mask = pipelined_free_mask([first.free_mask, second.free_mask], 4)
+    # the second hop's slot 1 is taken, which blocks start 0
+    mask = pipelined_free_mask([0b1111, 0b1101], 4)
     assert mask == 0b1110
 
 
@@ -276,40 +176,19 @@ def test_slots_needed_cached_matches_uncached():
 
 
 # --------------------------------------------------------------------------- #
-# property tests: bitmask implementation == list-based reference model
+# property tests: bitmask search == list-based reference model
 # --------------------------------------------------------------------------- #
-@given(
-    size=st.integers(min_value=1, max_value=64),
-    ops=st.lists(
-        st.tuples(
-            st.sampled_from(["reserve", "release_flow"]),
-            st.integers(min_value=0, max_value=7),  # flow id index
-            st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=6),
-        ),
-        max_size=30,
-    ),
-)
-def test_slot_table_matches_reference_model(size, ops):
-    table = SlotTable(size)
-    reference = ReferenceSlotTable(size)
-    for op, flow_index, slots in ops:
-        flow_id = f"f{flow_index}"
-        if op == "reserve":
-            slots = [slot % size for slot in slots]
-            outcomes = []
-            for model in (table, reference):
-                try:
-                    model.reserve(flow_id, slots)
-                    outcomes.append("ok")
-                except ResourceError:
-                    outcomes.append("error")
-            assert outcomes[0] == outcomes[1]
-        else:
-            assert table.release_flow(flow_id) == reference.release_flow(flow_id)
-        assert table.free_count == reference.free_count()
-        assert table.free_slots() == reference.free_slots()
-        assert table.slots_owned_by(flow_id) == reference.slots_owned_by(flow_id)
-        assert table.used_count == size - reference.free_count()
+def _blocked_tables(size, hops, blocked):
+    """A state and reference tables with the same slots taken per link."""
+    state = _state(size)
+    references = [ReferenceSlotTable(size) for _ in range(hops)]
+    for index, slot in enumerate(blocked):
+        slot = slot % size
+        hop = index % hops
+        if references[hop].owner[slot] is None:
+            references[hop].reserve(f"blk{index}", [slot])
+            _block(state, hop, slot, index)
+    return state, references
 
 
 @given(
@@ -319,17 +198,9 @@ def test_slot_table_matches_reference_model(size, ops):
     blocked=st.lists(st.integers(min_value=0, max_value=31), max_size=12),
 )
 def test_find_pipelined_slots_matches_reference_search(size, hops, needed, blocked):
-    tables = [SlotTable(size) for _ in range(hops)]
-    references = [ReferenceSlotTable(size) for _ in range(hops)]
-    for index, slot in enumerate(blocked):
-        slot = slot % size
-        table = tables[index % hops]
-        reference = references[index % hops]
-        if table.is_free(slot):
-            table.reserve(f"blk{index}", [slot])
-            reference.reserve(f"blk{index}", [slot])
+    state, references = _blocked_tables(size, hops, blocked)
     expected = references[0].find_pipelined(references, needed)
-    assert find_pipelined_slots(tables, needed) == expected
+    assert _search(state, hops, needed) == expected
 
 
 @given(
@@ -339,16 +210,11 @@ def test_find_pipelined_slots_matches_reference_search(size, hops, needed, block
     blocked=st.lists(st.integers(min_value=0, max_value=31), max_size=10),
 )
 def test_find_pipelined_slots_results_are_actually_free(size, hops, needed, blocked):
-    tables = [SlotTable(size) for _ in range(hops)]
-    for index, slot in enumerate(blocked):
-        table = tables[index % hops]
-        slot = slot % size
-        if table.is_free(slot):
-            table.reserve(f"blk{index}", [slot])
-    starts = find_pipelined_slots(tables, needed)
+    state, references = _blocked_tables(size, hops, blocked)
+    starts = _search(state, hops, needed)
     if starts is None:
         return
     assert len(starts) == needed
     for start in starts:
-        for hop, table in enumerate(tables):
-            assert table.is_free((start + hop) % size)
+        for hop, reference in enumerate(references):
+            assert reference.owner[(start + hop) % size] is None

@@ -1,5 +1,10 @@
 """Tests for the compiled-spec layer and the MappingEngine session caches."""
 
+import hashlib
+import json
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro import (
@@ -14,7 +19,10 @@ from repro import (
     compile_spec,
 )
 from repro.core.spec import CompiledSpec
+from repro.core.validate import validate_mapping
 from repro.gen import generate_benchmark
+from repro.noc.slot_table import slots_needed
+from repro.perf.latency import NI_OVERHEAD_CYCLES
 from repro.units import mbps, us
 
 from test_mapping_regression import mapping_fingerprint
@@ -253,9 +261,10 @@ def test_engine_map_onto_topology_matches_fixed_placement_mapper(case):
 def _matches_general_path(mapper, engine, use_cases, spec, topology, placement, groups):
     """Fast path against the constructive path on one complete placement.
 
-    Asserts identical fingerprints and costs where the constructive path
-    succeeds and ``MappingError`` from both where it fails; returns whether
-    the placement was feasible.
+    Asserts identical fingerprints and costs and a ``validate_mapping``
+    report free of non-deadlock issues where the constructive path succeeds, and ``MappingError`` from both
+    where it fails; returns the fingerprint, or ``None`` when the placement
+    is infeasible.
     """
     try:
         reference = mapper.map_with_placement(
@@ -266,25 +275,62 @@ def _matches_general_path(mapper, engine, use_cases, spec, topology, placement, 
             engine.evaluate_placement(spec, topology, placement, groups=groups)
         with pytest.raises(MappingError):
             engine.placement_cost(spec, topology, placement, groups=groups)
-        return False
+        return None
     fast = engine.evaluate_placement(spec, topology, placement, groups=groups)
-    assert mapping_fingerprint(fast) == mapping_fingerprint(reference)
+    fingerprint = mapping_fingerprint(fast)
+    assert fingerprint == mapping_fingerprint(reference)
+    # Best-effort flows on minimal adaptive paths can form a cyclic channel
+    # dependency graph, which the referee reports as "deadlock"; the mapper
+    # does not route around it, so every other check must pass.
+    issues = [
+        issue for issue in validate_mapping(fast, use_cases).issues
+        if issue.kind != "deadlock"
+    ]
+    assert not issues, issues
     flat_cost = sum(
         cfg.total_bandwidth_hops() for cfg in reference.configurations.values()
     )
     assert engine.placement_cost(spec, topology, placement, groups=groups) == flat_cost
     assert fast.cached_communication_cost == flat_cost
-    return True
+    return fingerprint
+
+
+def _latency_bound(design, hops, params):
+    """``design`` with every flow's latency constraint half a slot above the
+    worst-case bound of a ``hops``-hop path at the flow's own slot count,
+    so the mapper's hop budget is ``hops`` for every single-flow pair."""
+    use_cases = []
+    for use_case in (design[name] for name in design.names):
+        flows = []
+        for flow in use_case.flows:
+            owned = slots_needed(flow.bandwidth, params.link_capacity, params.slot_table_size)
+            cycles = (
+                math.ceil(params.slot_table_size / owned) + hops + NI_OVERHEAD_CYCLES + 0.5
+            )
+            flows.append(replace(flow, latency=cycles * params.slot_duration))
+        use_cases.append(UseCase(use_case.name, flows=flows))
+    return UseCaseSet(use_cases, name=f"{design.name}-latency-{hops}")
+
+
+#: SHA-256 over the JSON list of fingerprints (``null`` when infeasible) of
+#: every placement the differential test below evaluates, in order,
+#: recorded from the constructive path when it still had its own per-pair
+#: implementation.  It keeps the test independent of the shared kernel
+#: that both sides now call.
+_DIFFERENTIAL_DIGEST = (
+    "4310a817d43895b02f270e336561b99f364680067e9f37dcbb4bb11db5a86e64"
+)
 
 
 def test_evaluate_placement_bit_identical_to_general_path():
     import random
-    from dataclasses import replace
 
+    from repro import MapperConfig
     from repro.core.usecase import TrafficClass
     from repro.noc.failures import FailureSet
     from repro.noc.topology import Topology
 
+    fingerprints = []
     use_cases = generate_benchmark("spread", 5, seed=3)
     mapper = UnifiedMapper()
     result = mapper.map(use_cases)
@@ -297,14 +343,18 @@ def test_evaluate_placement_bit_identical_to_general_path():
     for _ in range(8):
         first, second = rng.sample(cores, 2)
         placement[first], placement[second] = placement[second], placement[first]
-        assert _matches_general_path(
+        fingerprints.append(_matches_general_path(
             mapper, engine, use_cases, spec, result.topology, placement, groups
-        )
+        ))
+    assert all(fingerprints)
 
     # A degraded fabric: spread-10 provisioned on mesh-3x3, then link 1<->4
     # and switch 8 fail; random neighbours of the provisioned placement.
     # The second design makes every other use case best-effort, so both
-    # traffic classes go through the evaluator.
+    # traffic classes go through the evaluator.  The third is a 12-core
+    # spread-4 whose latency constraints allow 3 hops, mapped with 2-hop
+    # detours allowed, so the hop budget drops some candidate paths of a
+    # pair (the 4-hop detours of 2-hop pairs) and every candidate of others.
     spread10 = generate_benchmark("spread", 10, seed=3)
     mixed = UseCaseSet(
         [
@@ -317,16 +367,25 @@ def test_evaluate_placement_bit_identical_to_general_path():
         ],
         name="spread10-mixed",
     )
+    detour_mapper = UnifiedMapper(
+        config=MapperConfig(routing_policy="k_shortest", max_detour_hops=2)
+    )
+    latency_bound = _latency_bound(
+        generate_benchmark("spread", 4, core_count=12, seed=3), 3, detour_mapper.params
+    )
     mesh = Topology.mesh(3, 3)
     degraded = mesh.with_failures(FailureSet().mark_link_down(1, 4).mark_switch_down(8))
-    switches = [switch.index for switch in degraded.switches]
-    for use_cases in (spread10, mixed):
-        provisioned = mapper.map_with_placement(use_cases, mesh, {}, validate=False)
+    for constructive, use_cases, topology in (
+        (mapper, spread10, degraded), (mapper, mixed, degraded),
+        (detour_mapper, latency_bound, mesh),
+    ):
+        provisioned = constructive.map_with_placement(use_cases, mesh, {}, validate=False)
         engine = MappingEngine(params=provisioned.params, config=provisioned.config)
         spec = engine.compile(use_cases)
         groups = [list(g) for g in provisioned.groups]
         cores = sorted(provisioned.core_mapping)
-        feasible = []
+        switches = [switch.index for switch in topology.switches]
+        outcomes = []
         for _ in range(40):
             placement = dict(provisioned.core_mapping)
             if rng.random() < 0.5:
@@ -334,10 +393,13 @@ def test_evaluate_placement_bit_identical_to_general_path():
                 placement[first], placement[second] = placement[second], placement[first]
             else:
                 placement[rng.choice(cores)] = rng.choice(switches)
-            feasible.append(_matches_general_path(
-                mapper, engine, use_cases, spec, degraded, placement, groups
+            outcomes.append(_matches_general_path(
+                constructive, engine, use_cases, spec, topology, placement, groups
             ))
-        assert any(feasible) and not all(feasible)  # both branches exercised
+        assert any(outcomes) and not all(outcomes)  # both branches exercised
+        fingerprints.extend(outcomes)
+    digest = hashlib.sha256(json.dumps(fingerprints).encode()).hexdigest()
+    assert digest == _DIFFERENTIAL_DIGEST
 
 
 def test_evaluate_placement_uses_group_cache(figure5_use_cases):
@@ -352,7 +414,7 @@ def test_evaluate_placement_uses_group_cache(figure5_use_cases):
 
 
 def test_evaluate_placement_rejects_overfull_switch(figure5_use_cases):
-    from repro import NoCParameters
+    from repro import NoCParameters, TopologyError
     from repro.noc.topology import Topology
 
     params = NoCParameters(max_cores_per_switch=1)
@@ -364,6 +426,14 @@ def test_evaluate_placement_rejects_overfull_switch(figure5_use_cases):
         engine.evaluate_placement(spec, topology, placement)
     with pytest.raises(MappingError):
         engine.placement_cost(spec, topology, placement)
+    # the constructive path applies the same placement check
+    with pytest.raises(MappingError):
+        engine.mapper.map_with_placement(figure5_use_cases, topology, placement)
+    unknown = {"C1": 0, "C2": 7, "C3": 1, "C4": 2}  # no switch 7 on a 2x2 mesh
+    with pytest.raises(TopologyError):
+        engine.evaluate_placement(spec, topology, unknown)
+    with pytest.raises(TopologyError):
+        engine.mapper.map_with_placement(figure5_use_cases, topology, unknown)
 
 
 def test_evaluate_placement_falls_back_on_partial_placement(figure5_use_cases):
