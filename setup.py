@@ -18,11 +18,6 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["networkx"],
-    extras_require={
-        # the exact (ILP/CBC) mapping backend; without it the backend's
-        # pure-Python branch-and-bound solver is used
-        "ilp": ["pulp"],
-    },
     entry_points={
         "console_scripts": [
             "repro = repro.jobs.cli:main",

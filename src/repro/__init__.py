@@ -44,7 +44,6 @@ from repro.core import (
 from repro.core.validate import ValidationIssue, ValidationReport, validate_mapping
 from repro.exceptions import (
     ConfigurationError,
-    ExactBackendUnavailable,
     MappingError,
     ReproError,
     ResourceError,
@@ -179,7 +178,6 @@ __all__ = [
     "ResourceError",
     "MappingError",
     "ConfigurationError",
-    "ExactBackendUnavailable",
     "VerificationError",
     "SerializationError",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.engine import MappingEngine
-from repro.core.result import MappingResult
+from repro.core.result import MappingResult, total_communication_cost
 from repro.core.switching import SwitchingGraph
 from repro.core.usecase import UseCaseSet
 from repro.exceptions import MappingError
@@ -83,10 +83,10 @@ class MethodComparison:
         """
         if self.unified is None or self.exact is None:
             return None
-        exact_cost = _communication_cost(self.exact)
+        exact_cost = total_communication_cost(self.exact)
         if exact_cost == 0:
-            return 0.0 if _communication_cost(self.unified) == 0 else None
-        return (_communication_cost(self.unified) - exact_cost) / exact_cost
+            return 0.0 if total_communication_cost(self.unified) == 0 else None
+        return (total_communication_cost(self.unified) - exact_cost) / exact_cost
 
     def as_row(self) -> dict:
         """Plain-dict row for reports and the benchmark harness.
@@ -112,17 +112,6 @@ class MethodComparison:
             row["exact_switches"] = self.exact_switches
             row["optimality_gap"] = None if gap is None else round(gap, 6)
         return row
-
-
-def _communication_cost(result: MappingResult) -> float:
-    """Bandwidth-weighted hop count of a mapping (the exact objective)."""
-    cached = getattr(result, "cached_communication_cost", None)
-    if cached is not None:
-        return cached
-    return sum(
-        configuration.total_bandwidth_hops()
-        for configuration in result.configurations.values()
-    )
 
 
 def compare_methods(

@@ -16,8 +16,7 @@ three artifacts with deliberately different determinism contracts:
 * ``trajectory.jsonl`` (:func:`append_trajectory`) — the tracked history:
   one appended line per campaign run, carrying the campaign hash, a
   timestamp, executed/resumed counts, total wall-clock and the best-known
-  costs, so successive runs of a campaign become a perf trajectory
-  alongside ``BENCH_mapper.json``.
+  costs, so successive runs of a campaign become a quality trajectory.
 
 The comparison metric is ``cost``: the bandwidth-weighted hop count of the
 final mapping (sum over every flow of ``bandwidth_mbps * (path_length - 1)``,

@@ -42,6 +42,7 @@ from repro.campaign.report import (
 )
 from repro.campaign.spec import CampaignCell, CampaignSpec, campaign_hash
 from repro.exceptions import ReproError
+from repro.io.serialization import atomic_write
 from repro.jobs.runner import JobRunner
 from repro.jobs.spec import job_hash, job_to_dict, save_job
 
@@ -69,8 +70,7 @@ class CampaignRunner:
     trajectory_path:
         Where the per-run history line is appended; defaults to
         ``out_dir / "trajectory.jsonl"``.  Point several campaigns at one
-        file to maintain a single tracked trajectory next to
-        ``BENCH_mapper.json``.
+        file to maintain a single tracked trajectory.
     """
 
     def __init__(
@@ -120,10 +120,9 @@ class CampaignRunner:
             "elapsed_s": round(result.elapsed_s, 6),
             "cached": bool(result.cached),
         }
-        target = self._record_path(spec_hash)
-        scratch = target.with_suffix(".tmp")
-        scratch.write_text(json.dumps(record, indent=2, sort_keys=True))
-        scratch.replace(target)
+        atomic_write(
+            self._record_path(spec_hash), json.dumps(record, indent=2, sort_keys=True)
+        )
         return record
 
     def _expanded(self, spec: CampaignSpec) -> List[Tuple[CampaignCell, str]]:

@@ -40,7 +40,12 @@ from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.mapping import GroupRequirement, GroupSpec, UnifiedMapper, _Worklist
-from repro.core.result import FlowAllocation, MappingResult, UseCaseConfiguration
+from repro.core.result import (
+    FlowAllocation,
+    MappingResult,
+    UseCaseConfiguration,
+    total_communication_cost,
+)
 from repro.core.spec import CompiledSpec, compile_spec
 from repro.core.switching import SwitchingGraph
 from repro.core.usecase import UseCaseSet
@@ -598,14 +603,10 @@ class MappingEngine:
         spec = self.compile(use_cases)
         resolved = self.resolve_groups(spec, groups, switching_graph)
         if any(name not in placement for name in spec.core_names):
-            result = self.mapper.map_with_placement(
+            return total_communication_cost(self.mapper.map_with_placement(
                 spec.use_case_set, topology, placement, groups=resolved,
                 validate=False,
-            )
-            return sum(
-                configuration.total_bandwidth_hops()
-                for configuration in result.configurations.values()
-            )
+            ))
         bundle = self.requirements_for(spec, resolved)
         outcomes = self._evaluate_groups(bundle, topology, placement)
         # Sum the per-group memoised per-use-case sums in the exact order

@@ -32,7 +32,11 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import MappingEngine
-from repro.core.result import MappingResult, UseCaseConfiguration
+from repro.core.result import (
+    MappingResult,
+    UseCaseConfiguration,
+    total_communication_cost,
+)
 from repro.core.validate import validate_mapping
 from repro.exceptions import MappingError, RoutingError, SpecificationError
 
@@ -49,17 +53,6 @@ __all__ = [
     "repair_mapping",
     "total_communication_cost",
 ]
-
-
-def total_communication_cost(result: MappingResult) -> float:
-    """Σ bandwidth × hops over every configuration of a mapping result."""
-    cached = getattr(result, "cached_communication_cost", None)
-    if cached is not None:
-        return cached
-    return sum(
-        configuration.total_bandwidth_hops()
-        for configuration in result.configurations.values()
-    )
 
 
 def check_baseline(baseline: MappingResult, use_cases) -> None:

@@ -20,7 +20,12 @@ from repro.exceptions import SpecificationError
 from repro.noc.topology import Link, Topology
 from repro.params import MapperConfig, NoCParameters
 
-__all__ = ["FlowAllocation", "UseCaseConfiguration", "MappingResult"]
+__all__ = [
+    "FlowAllocation",
+    "UseCaseConfiguration",
+    "MappingResult",
+    "total_communication_cost",
+]
 
 
 @dataclass(frozen=True)
@@ -184,8 +189,8 @@ class MappingResult:
         self.configurations: Dict[str, UseCaseConfiguration] = dict(configurations)
         self.attempted_topologies: Tuple[str, ...] = tuple(attempted_topologies)
         #: total bandwidth-hops, precomputed by producers that already walk
-        #: every allocation (the engine's fixed-placement evaluator); the
-        #: refiners' cost function uses it instead of re-summing
+        #: every allocation (the engine's fixed-placement evaluator);
+        #: :func:`total_communication_cost` uses it instead of re-summing
         self.cached_communication_cost: Optional[float] = None
 
     # ------------------------------------------------------------------ #
@@ -286,3 +291,17 @@ class MappingResult:
             f"MappingResult(method={self.method!r}, topology={self.topology.name!r}, "
             f"use_cases={len(self.configurations)})"
         )
+
+
+def total_communication_cost(result: MappingResult) -> float:
+    """Σ bandwidth × hops over every configuration of a mapping result.
+
+    The refiners' objective, the exact backend's, and the cost every report
+    shows; the first-order proxy for NoC power.
+    """
+    if result.cached_communication_cost is not None:
+        return result.cached_communication_cost
+    return sum(
+        configuration.total_bandwidth_hops()
+        for configuration in result.configurations.values()
+    )

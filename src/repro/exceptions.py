@@ -63,17 +63,6 @@ class ConfigurationError(ReproError):
     """
 
 
-class ExactBackendUnavailable(ConfigurationError):
-    """The exact (ILP) mapping backend was requested but cannot run.
-
-    Raised when ``MapperConfig(backend="ilp")`` selects a solver whose
-    optional dependency (e.g. ``pulp``) is not installed.  Subclasses
-    :class:`ConfigurationError` so existing ``except ReproError`` /
-    ``except ConfigurationError`` boundaries render it as an ordinary
-    one-line configuration failure.
-    """
-
-
 class VerificationError(ReproError):
     """A produced mapping violates the constraints it claims to satisfy.
 

@@ -31,10 +31,11 @@ __all__ = ["WORKLOAD_RECIPES", "workload_recipe", "recipe_names"]
 #: Flow counts shrink as core counts grow: hundreds of flows per use case
 #: on 48+ cores would saturate every NI link and make the workload about
 #: infeasibility, not mapping quality.  The 8x8/16x16 entries mirror the
-#: ``spread_mesh8x8`` benchmark's shape (sparse per-core fan-out) scaled up.
+#: sparse per-core fan-out of the 100-use-case, 48-core mesh-8x8 design
+#: ``tests/test_screen.py`` pins, scaled up.
 WORKLOAD_RECIPES: Dict[str, Dict] = {
-    # paper scale — the designs every BENCH_mapper.json workload ran until
-    # now; minimal topology, no forced mesh
+    # paper scale — the reference designs of the seed fingerprint pins;
+    # minimal topology, no forced mesh
     "paper_spread10": {
         "generator": {"kind": "spread", "use_case_count": 10, "seed": 3},
         "mesh": None,

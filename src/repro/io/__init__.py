@@ -9,6 +9,7 @@
 """
 
 from repro.io.serialization import (
+    atomic_write,
     use_case_set_to_dict,
     use_case_set_from_dict,
     save_use_case_set,
@@ -23,6 +24,7 @@ from repro.io.export import export_design, design_to_dict
 from repro.io.report import format_rows, format_summary
 
 __all__ = [
+    "atomic_write",
     "use_case_set_to_dict",
     "use_case_set_from_dict",
     "save_use_case_set",

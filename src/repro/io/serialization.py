@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Dict, Union
 
@@ -39,6 +40,7 @@ from repro.params import MapperConfig, NoCParameters
 from repro.units import mbps, to_mbps, us
 
 __all__ = [
+    "atomic_write",
     "use_case_set_to_dict",
     "use_case_set_from_dict",
     "save_use_case_set",
@@ -54,6 +56,29 @@ __all__ = [
 ]
 
 _MICROSECOND = 1e-6
+
+
+def atomic_write(path: Union[str, Path], data: Union[str, bytes]) -> Path:
+    """Publish ``data`` at ``path`` whole or not at all; returns the path.
+
+    The data goes to ``.NAME.PID.tmp`` in the same directory — a name no
+    ``*.json``/``*.jsonl`` glob matches, so an inbox drain or store scan
+    never sees it — and is then renamed over ``path`` with ``os.replace``.
+    A write that fails part-way leaves ``path`` as it was.  There is no
+    fsync: this survives a killed process, not a lost page cache.
+    """
+    target = Path(path)
+    scratch = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        if isinstance(data, str):
+            scratch.write_text(data)
+        else:
+            scratch.write_bytes(data)
+        os.replace(scratch, target)
+    except BaseException:
+        scratch.unlink(missing_ok=True)
+        raise
+    return target
 
 
 def use_case_set_to_dict(use_cases: UseCaseSet) -> Dict:

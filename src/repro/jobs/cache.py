@@ -13,9 +13,10 @@ The store is deliberately simple and concurrency-tolerant:
 
 * one file per key, named by the hash — no index to corrupt, safe to prune
   with ``rm`` or share over NFS;
-* writes go through a per-process temporary file and ``os.replace`` — a
-  reader never observes a half-written entry, and concurrent writers of the
-  same key overwrite each other with identical content (payloads are pure
+* writes go through :func:`~repro.io.serialization.atomic_write` (a
+  per-process temporary file and ``os.replace``) — a reader never
+  observes a half-written entry, and concurrent writers of the same key
+  overwrite each other with identical content (payloads are pure
   functions of the key);
 * entries are compact JSON (no indentation, so the C encoder writes them)
   and carry no engine state — that lives in the engine-state store;
@@ -26,10 +27,10 @@ The store is deliberately simple and concurrency-tolerant:
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
+from repro.io.serialization import atomic_write
 from repro.jobs.store import EngineStateStore
 
 __all__ = ["JobCache"]
@@ -94,10 +95,7 @@ class JobCache:
 
     def put(self, key: str, document: Dict) -> Path:
         """Atomically store one result document; returns the path written."""
-        target = self.path_for(key)
-        scratch = target.with_suffix(f".tmp.{os.getpid()}")
-        scratch.write_text(json.dumps(document))
-        os.replace(scratch, target)
+        target = atomic_write(self.path_for(key), json.dumps(document))
         self.stores += 1
         return target
 

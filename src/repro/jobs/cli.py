@@ -27,7 +27,7 @@ Three subcommands cover the common workflows without writing any Python:
         python -m repro failures design.json --provision 3x3 \\
             --fail-link 0,1 --compare
 
-``repro gap DESIGN.json [--solver auto|pulp|native] [--report-dir DIR]``
+``repro gap DESIGN.json [--solver auto|native] [--report-dir DIR]``
     Optimality-gap measurement: run the exact backend
     (:mod:`repro.optimize.ilp`) next to the ordinary heuristic mapping of
     the same design (and, with ``--refine-iterations N``, an annealing
@@ -246,10 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
              "generator's default, which needs >= 11 cores)",
     )
     gap.add_argument(
-        "--solver", choices=("auto", "pulp", "native"), default="auto",
-        help="exact solver: 'pulp' (CBC MILP, needs the optional 'pulp' "
-             "dependency), 'native' (pure-Python branch-and-bound), or "
-             "'auto' = pulp if importable else native (default)",
+        "--solver", choices=("auto", "native"), default="auto",
+        help="exact solver (default: auto); both names run the pure-Python "
+             "branch-and-bound",
     )
     gap.add_argument(
         "--refine-iterations", type=int, default=0, metavar="N",
@@ -260,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="refinement seed (default: 0)")
     gap.add_argument(
         "--node-limit", type=int, default=None, metavar="N",
-        help="abort the exact search after expanding N nodes (native "
-             "solver) / N lazy cuts (pulp); unbounded by default",
+        help="abort the exact search after expanding N nodes; unbounded "
+             "by default",
     )
     gap.add_argument(
         "--report-dir", default=None, metavar="DIR",
@@ -709,13 +708,6 @@ def _command_gap(args) -> int:
 
     if (args.design_file is None) == (args.spread is None):
         return _fail("gap needs a DESIGN.json file or --spread N (not both)")
-    if args.solver == "pulp":
-        from repro.optimize.ilp import available_solvers
-
-        if "pulp" not in available_solvers():
-            return _fail("the 'pulp' solver needs the optional dependency "
-                         "'pulp' (pip install 'repro-noc[ilp]') — or use "
-                         "--solver native")
     if args.design_file is not None:
         source = UseCaseSource(path=args.design_file)
     else:

@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.design_flow import DesignFlow
 from repro.core.engine import MappingEngine
+from repro.core.result import total_communication_cost
 from repro.exceptions import MappingError, SpecificationError
 from repro.io.serialization import mapping_fingerprint, mapping_result_to_dict
 from repro.jobs.cache import JobCache
@@ -213,10 +214,10 @@ def _execute_portfolio(job: "PortfolioRefineJob", engine: MappingEngine) -> Dict
     The initial mapping (minimal, or on the forced ``mesh``) is computed
     once on the enveloping engine and ingested into the shared engine-state
     store (the runner-attached store when there is one, a throwaway
-    directory otherwise); every chain —
-    expressed as a plain :class:`RefineJob` and executed through
-    :func:`execute_job`, serially or over a process pool — reads it (and
-    each other's candidate evaluations) from there instead of recomputing.
+    directory otherwise); every chain — expressed as a plain
+    :class:`RefineJob` and executed by the runner's own serial-or-pool
+    dispatch (:meth:`JobRunner._execute_pending`) — reads it (and each
+    other's candidate evaluations) from there instead of recomputing.
     Chain payloads are pure functions of their derived specs, so the
     best-of reduction is reproducible for a fixed (seed, chains) pair no
     matter how the chains were scheduled.  The chains' engine counters are
@@ -246,27 +247,11 @@ def _execute_portfolio(job: "PortfolioRefineJob", engine: MappingEngine) -> Dict
         # Seed the shared store with the initial mapping (and anything else
         # this engine already computed) before any chain starts.
         store.ingest(engine.export_results(), engine.export_evaluations())
-        store_path = str(store.directory)
-        work = [(chain, job_hash(chain)) for chain in chains]
-        if job.workers and job.workers >= 2:
-            documents = [(job_to_dict(chain), spec_hash) for chain, spec_hash in work]
-            with ProcessPoolExecutor(
-                max_workers=min(job.workers, len(documents)),
-                initializer=_init_worker,
-                initargs=(store_path,),
-            ) as pool:
-                futures = [
-                    pool.submit(_execute_document, document, spec_hash)
-                    for document, spec_hash in documents
-                ]
-                chain_results = [
-                    JobResult.from_dict(future.result()) for future in futures
-                ]
-        else:
-            chain_results = [
-                execute_job(chain, spec_hash, store_path=store_path)
-                for chain, spec_hash in work
-            ]
+        chain_results = JobRunner._execute_pending(
+            [(chain, job_hash(chain)) for chain in chains],
+            job.workers,
+            str(store.directory),
+        )
     finally:
         if scratch is not None:
             scratch.cleanup()
@@ -418,21 +403,10 @@ def _execute_repair(job: RepairJob, engine: MappingEngine) -> Dict:
     return payload
 
 
-def _result_cost(result) -> float:
-    """Communication cost (Σ bandwidth × hops) of any mapping result."""
-    cost = result.cached_communication_cost
-    if cost is None:
-        cost = sum(
-            configuration.total_bandwidth_hops()
-            for configuration in result.configurations.values()
-        )
-    return cost
-
-
 def _gap_entry(result) -> Dict:
     """One method's row in a gap payload: cost, size and identity."""
     return {
-        "cost": round(_result_cost(result), 6),
+        "cost": round(total_communication_cost(result), 6),
         "switch_count": result.switch_count,
         "topology": result.topology.name,
         "fingerprint": mapping_fingerprint(result),

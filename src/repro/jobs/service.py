@@ -76,6 +76,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ReproError
+from repro.io.serialization import atomic_write
 from repro.jobs.faults import FaultInjector, InjectedFault
 from repro.jobs.runner import JobRunner
 from repro.jobs.spec import load_jobs
@@ -321,8 +322,7 @@ class JobDirectoryService:
                 break
 
         target = _unique_path(self.done_dir, claimed.name)
-        results_path = self.results_dir / f"{target.stem}.json"
-        results_path.write_text(text)
+        results_path = atomic_write(self.results_dir / f"{target.stem}.json", text)
         # Results are on disk — only now does the spec count as done.
         try:
             os.replace(claimed, target)

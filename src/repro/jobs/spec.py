@@ -54,6 +54,7 @@ from repro.core.compound import CompoundModeSpec
 from repro.core.usecase import UseCaseSet
 from repro.exceptions import SerializationError, SpecificationError
 from repro.io.serialization import (
+    atomic_write,
     load_use_case_set,
     use_case_set_from_dict,
     use_case_set_to_dict,
@@ -702,9 +703,10 @@ class GapJob:
     the engine's ordinary mapping of the same design, and reduces them to
     optimality-gap metrics; ``refine_iterations > 0`` additionally runs an
     annealing refinement of the heuristic result so the payload ranks all
-    three.  ``solver`` is ``"auto"`` (pulp when importable, else the
-    dependency-free native branch-and-bound), ``"pulp"`` or ``"native"``;
-    ``node_limit`` bounds the exact search (``None`` = unlimited).
+    three.  ``solver`` is ``"auto"`` or ``"native"``; both run the exact
+    backend's branch-and-bound, and the field stays because it is part of
+    every gap job's hash.  ``node_limit`` bounds the exact search (``None``
+    = unlimited).
     """
 
     KIND = "gap"
@@ -719,10 +721,10 @@ class GapJob:
     node_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.solver not in ("auto", "pulp", "native"):
+        if self.solver not in ("auto", "native"):
             raise SpecificationError(
-                f"unknown exact solver {self.solver!r}; expected 'auto', "
-                "'pulp' or 'native'"
+                f"unknown exact solver {self.solver!r}; expected 'auto' or "
+                "'native'"
             )
         if self.refine_iterations < 0:
             raise SpecificationError("refine_iterations must be non-negative")
@@ -856,10 +858,12 @@ def job_hash(job: JobSpec, base_dir: Union[str, Path, None] = None) -> str:
 
 
 def save_job(job: JobSpec, path: Union[str, Path]) -> Path:
-    """Write one job spec to a compact JSON file; returns the path written."""
-    target = Path(path)
-    target.write_text(json.dumps(job_to_dict(job)))
-    return target
+    """Write one job spec to a compact JSON file; returns the path written.
+
+    The write is atomic, so a ``repro serve`` drain of the target's
+    directory never claims a partial spec.
+    """
+    return atomic_write(path, json.dumps(job_to_dict(job)))
 
 
 def load_jobs(path: Union[str, Path]) -> List[JobSpec]:

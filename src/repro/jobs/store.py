@@ -57,7 +57,7 @@ import warnings
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.io.serialization import document_fingerprint
+from repro.io.serialization import atomic_write, document_fingerprint
 
 __all__ = ["EngineStateStore", "StoreCorruptionWarning"]
 
@@ -222,16 +222,14 @@ class EngineStateStore:
 
         Append-only: an existing key is never overwritten (payloads are pure
         functions of the key, so the incumbent is already correct).  Writes
-        go through a per-process temporary file and ``os.replace``, so a
+        go through :func:`~repro.io.serialization.atomic_write`, so a
         concurrent reader never observes a torn entry.
         """
         target = self.result_path(key)
         if target.exists():
             return False
         target.parent.mkdir(parents=True, exist_ok=True)
-        scratch = target.parent / f".{key}.tmp.{os.getpid()}"
-        scratch.write_text(json.dumps(entry))
-        os.replace(scratch, target)
+        atomic_write(target, json.dumps(entry))
         return True
 
     def result_keys(self) -> Iterator[str]:
@@ -338,9 +336,7 @@ class EngineStateStore:
         kept = entries[-self.max_context_entries:]
         target = self.evaluation_path(context)
         target.parent.mkdir(parents=True, exist_ok=True)
-        scratch = target.parent / f".{context}.tmp.{os.getpid()}"
-        scratch.write_text(json.dumps(kept) + "\n" if kept else "")
-        os.replace(scratch, target)
+        atomic_write(target, json.dumps(kept) + "\n" if kept else "")
 
     def evaluation_contexts(self) -> Iterator[str]:
         """All evaluation contexts currently stored (sorted)."""

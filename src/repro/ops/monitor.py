@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.engine import MappingEngine
 from repro.core.repair import repair_mapping
 from repro.exceptions import SpecificationError
+from repro.io.serialization import atomic_write
 from repro.jobs.spec import RepairJob, UseCaseSource, job_hash, save_job
 from repro.noc.topology import Topology
 from repro.ops.clock import Clock, SystemClock
@@ -343,12 +344,9 @@ class Monitor:
         """Publish the canonical derived state atomically.
 
         ``state.json`` is a convenience projection — the log is the source
-        of truth — but it must never be torn, so it is written to a
-        temporary file and renamed into place.
+        of truth — but it must never be torn.
         """
-        tmp = self.state_path.with_suffix(".json.tmp")
-        tmp.write_bytes(canonical_state_bytes(self.log.state))
-        tmp.replace(self.state_path)
+        atomic_write(self.state_path, canonical_state_bytes(self.log.state))
 
     def run(self, max_polls: Optional[int] = None) -> List[Dict]:
         """Poll repeatedly, sleeping ``period_s`` between polls.

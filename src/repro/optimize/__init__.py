@@ -25,19 +25,13 @@ Two layers scale the search up without changing any decision it makes:
 
 A separate entry point sidesteps the heuristic+refinement pipeline
 entirely: :mod:`repro.optimize.ilp` solves the core-to-switch assignment
-*exactly* (PuLP/CBC when the optional ``pulp`` dependency is installed, a
-pure-Python branch-and-bound otherwise) — exponential in the core count,
-but the ground truth the heuristics are measured against
+*exactly* with a pure-Python branch-and-bound — exponential in the core
+count, but the ground truth the heuristics are measured against
 (``python -m repro gap``).
 """
 
 from repro.optimize.annealing import AnnealingRefiner, RefinementResult, refine_mapping
-from repro.optimize.ilp import (
-    EXACT_METHOD_NAME,
-    available_solvers,
-    exact_mapping,
-    solver_invocations,
-)
+from repro.optimize.ilp import EXACT_METHOD_NAME, exact_mapping, solver_invocations
 from repro.optimize.screen import CandidateScreen, ScreenedCandidate
 from repro.optimize.tabu import TabuRefiner
 
@@ -49,7 +43,6 @@ __all__ = [
     "CandidateScreen",
     "ScreenedCandidate",
     "EXACT_METHOD_NAME",
-    "available_solvers",
     "exact_mapping",
     "solver_invocations",
 ]

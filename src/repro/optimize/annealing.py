@@ -25,31 +25,20 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.engine import MappingEngine
-from repro.core.result import MappingResult
+from repro.core.result import MappingResult, total_communication_cost
 from repro.core.usecase import UseCaseSet
-from repro.exceptions import ConfigurationError, MappingError
+from repro.exceptions import ConfigurationError
 
 __all__ = [
     "RefinementResult",
     "AnnealingRefiner",
     "refine_mapping",
-    "communication_cost",
     "DEFAULT_INITIAL_TEMPERATURE",
 ]
 
 #: the annealing schedule's default starting temperature; portfolio chains
 #: scale this by a per-chain factor to diversify their acceptance behaviour
 DEFAULT_INITIAL_TEMPERATURE = 0.08
-
-
-def communication_cost(result: MappingResult) -> float:
-    """Total bandwidth-hop product over all use-cases (power/latency proxy)."""
-    if result.cached_communication_cost is not None:
-        return result.cached_communication_cost
-    return sum(
-        configuration.total_bandwidth_hops()
-        for configuration in result.configurations.values()
-    )
 
 
 @dataclass
@@ -80,7 +69,6 @@ class AnnealingRefiner:
         initial_temperature: float = DEFAULT_INITIAL_TEMPERATURE,
         cooling: float = 0.97,
         seed: int = 0,
-        screen: bool = True,
     ) -> None:
         if iterations < 0:
             raise ConfigurationError("iterations must be non-negative")
@@ -90,10 +78,6 @@ class AnnealingRefiner:
         self.initial_temperature = initial_temperature
         self.cooling = cooling
         self.seed = seed
-        #: evaluate candidates through the engine's batched candidate
-        #: screen (bit-identical to the scalar path; ``False`` keeps the
-        #: historical placement_cost walk for equivalence testing)
-        self.screen = screen
 
     def refine(
         self,
@@ -116,15 +100,11 @@ class AnnealingRefiner:
         # that final call assembly-only).  Results are pure functions of
         # the placement, so this is decision-for-decision identical to
         # materialising every accepted move.  The candidate screen answers
-        # the same costs through the same cache hierarchy, returning None
+        # the costs through the engine's cache hierarchy, returning None
         # exactly where placement_cost raises MappingError.
-        candidate_screen = (
-            engine.screener(spec, result.topology, groups=group_spec)
-            if self.screen
-            else None
-        )
+        candidate_screen = engine.screener(spec, result.topology, groups=group_spec)
         current_placement = result.core_mapping
-        current_cost = communication_cost(result)
+        current_cost = total_communication_cost(result)
         best_placement: Optional[Dict[str, int]] = None  # None = the initial
         best_cost = current_cost
         temperature = self.initial_temperature
@@ -136,19 +116,10 @@ class AnnealingRefiner:
             if placement is None:
                 temperature *= self.cooling
                 continue
-            if candidate_screen is not None:
-                candidate_cost = candidate_screen.cost(placement)
-                if candidate_cost is None:
-                    temperature *= self.cooling
-                    continue
-            else:
-                try:
-                    candidate_cost = engine.placement_cost(
-                        spec, result.topology, placement, groups=group_spec,
-                    )
-                except MappingError:
-                    temperature *= self.cooling
-                    continue
+            candidate_cost = candidate_screen.cost(placement)
+            if candidate_cost is None:
+                temperature *= self.cooling
+                continue
             delta = (candidate_cost - current_cost) / max(current_cost, 1e-9)
             if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
                 current_placement, current_cost = placement, candidate_cost
@@ -166,7 +137,7 @@ class AnnealingRefiner:
         return RefinementResult(
             initial=result,
             refined=best,
-            initial_cost=communication_cost(result),
+            initial_cost=total_communication_cost(result),
             refined_cost=best_cost,
             iterations=self.iterations,
             accepted_moves=accepted,

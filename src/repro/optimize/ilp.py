@@ -11,32 +11,23 @@ store, fingerprint and report machinery unchanged and is judged by the same
 referee (:func:`repro.core.validate.validate_mapping`) as every heuristic
 result.
 
-Two interchangeable solvers implement the per-topology optimisation:
+The per-topology optimisation is a best-first branch-and-bound over
+core-to-switch assignments.  Its bound is the objective of the classic
+linearised quadratic-assignment ILP (binary ``x[core, switch]``,
+per-switch occupancy ceilings, ``sum(w_ab * hops(s, t) * z)`` with
+``z >= x[a,s] + x[b,t] - 1``) over the already-decided core pairs:
+bandwidth times shortest hop count never exceeds the true communication
+cost, because chosen paths can only detour around slot conflicts.
+Slot-table and bandwidth feasibility is decided at the leaves, where each
+complete assignment is re-costed exactly by
+:meth:`~repro.core.engine.MappingEngine.placement_cost`; the search ends
+when the cheapest open node cannot beat the incumbent.  The test suite
+pins it against exhaustive enumeration.
 
-``"pulp"``
-    The rapidstream-noc-style ILP: binary assignment variables
-    ``x[core, switch]``, per-switch occupancy ceilings, and the classic
-    linearised quadratic objective ``sum(w_ab * hops(s, t) * z)`` with
-    ``z >= x[a,s] + x[b,t] - 1``.  The hop-weighted objective is a *lower
-    bound* on the true communication cost (chosen paths may detour around
-    slot conflicts), so slot-table/bandwidth feasibility is enforced by
-    lazy cuts: each incumbent assignment is re-evaluated exactly by
-    :meth:`~repro.core.engine.MappingEngine.placement_cost` and, when
-    infeasible or costlier than the bound, excluded with a no-good cut and
-    re-solved until the bound certifies optimality.  Needs the optional
-    ``pulp`` dependency (CBC by default); raises
-    :class:`~repro.exceptions.ExactBackendUnavailable` when absent.
-``"native"``
-    A dependency-free best-first branch-and-bound over assignments using
-    the same admissible hop-weighted lower bound and the same engine-backed
-    feasibility check at the leaves.  Bit-identical costs to the ILP —
-    both are exact — and the solver the test-suite oracle runs against.
-
-``solver="auto"`` (the default) prefers ``"pulp"`` when importable and
-falls back to ``"native"`` otherwise, so the backend works out of the box
-on minimal installs.  Every solver search bumps a module-level invocation
-counter (:func:`solver_invocations`), which is how the warm-cache tests
-prove a cached :class:`~repro.jobs.GapJob` re-run performs zero solves.
+``solver`` is ``"auto"`` (the default) or ``"native"``; both name the
+branch-and-bound.  Every search bumps a module-level invocation counter
+(:func:`solver_invocations`), which is how the warm-cache tests prove a
+cached :class:`~repro.jobs.GapJob` re-run performs zero solves.
 """
 
 from __future__ import annotations
@@ -46,18 +37,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.engine import MappingEngine
 from repro.core.result import MappingResult
-from repro.exceptions import (
-    ConfigurationError,
-    ExactBackendUnavailable,
-    MappingError,
-    TopologyError,
-)
+from repro.exceptions import ConfigurationError, MappingError, TopologyError
 from repro.noc.topology import Topology
 from repro.params import MapperConfig, NoCParameters
 
 __all__ = [
     "EXACT_METHOD_NAME",
-    "available_solvers",
     "exact_mapping",
     "solver_invocations",
 ]
@@ -79,40 +64,6 @@ def solver_invocations() -> int:
 def _count_invocation() -> None:
     global _SOLVER_INVOCATIONS
     _SOLVER_INVOCATIONS += 1
-
-
-def _import_pulp():
-    try:
-        import pulp
-    except ImportError as exc:
-        raise ExactBackendUnavailable(
-            "the exact backend's 'pulp' solver needs the optional dependency "
-            "'pulp' (pip install 'repro-noc[ilp]'); install it or pass "
-            "solver='native'"
-        ) from exc
-    return pulp
-
-
-def available_solvers() -> Tuple[str, ...]:
-    """The exact solvers usable in this environment, preferred first."""
-    try:
-        import pulp  # noqa: F401
-    except ImportError:
-        return ("native",)
-    return ("pulp", "native")
-
-
-def _resolve_solver(solver: str) -> str:
-    if solver == "auto":
-        return available_solvers()[0]
-    if solver == "pulp":
-        _import_pulp()
-        return "pulp"
-    if solver == "native":
-        return "native"
-    raise ConfigurationError(
-        f"unknown exact solver {solver!r}; expected 'auto', 'pulp' or 'native'"
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -169,7 +120,7 @@ def _ordered_cores(
 
 
 # --------------------------------------------------------------------------- #
-# the native branch-and-bound solver
+# the branch-and-bound solver
 # --------------------------------------------------------------------------- #
 def _native_optimum(
     engine: MappingEngine,
@@ -257,106 +208,7 @@ def _native_optimum(
     return best_cost, best_placement
 
 
-# --------------------------------------------------------------------------- #
-# the PuLP/CBC solver
-# --------------------------------------------------------------------------- #
-def _pulp_optimum(
-    engine: MappingEngine,
-    spec,
-    resolved,
-    topology: Topology,
-    cores: Sequence[str],
-    weights: Mapping[Tuple[str, str], float],
-    hops: Mapping[Tuple[int, int], Optional[int]],
-    alive: Sequence[int],
-    limit: Optional[int],
-    node_limit: Optional[int],
-):
-    """Linearised QAP + lazy engine-verified feasibility cuts; exact."""
-    pulp = _import_pulp()
-    count = len(cores)
-    problem = pulp.LpProblem("exact_mapping", pulp.LpMinimize)
-    x = {
-        (core, switch): pulp.LpVariable(f"x_{index}_{switch}", cat="Binary")
-        for index, core in enumerate(cores)
-        for switch in alive
-    }
-    for core in cores:
-        problem += pulp.lpSum(x[core, switch] for switch in alive) == 1
-    if limit is not None:
-        for switch in alive:
-            problem += pulp.lpSum(x[core, switch] for core in cores) <= limit
-    objective_terms = []
-    aux = 0
-    for (a, b) in sorted(weights):
-        weight = weights[(a, b)]
-        if weight <= 0:
-            continue
-        for source in alive:
-            for destination in alive:
-                if source == destination:
-                    continue  # zero hops, zero cost
-                hop = hops[(source, destination)]
-                if hop is None:
-                    # unreachable switch pair: forbid splitting this pair
-                    # across it instead of pricing it
-                    problem += x[a, source] + x[b, destination] <= 1
-                    continue
-                z = pulp.LpVariable(f"z_{aux}", lowBound=0)
-                aux += 1
-                problem += z >= x[a, source] + x[b, destination] - 1
-                objective_terms.append(weight * hop * z)
-    problem += pulp.lpSum(objective_terms)
-    backend = pulp.PULP_CBC_CMD(msg=0)
-
-    best_cost: Optional[float] = None
-    best_placement: Optional[Dict[str, int]] = None
-    solves = 0
-    while True:
-        _count_invocation()
-        solves += 1
-        if node_limit is not None and solves > node_limit:
-            raise MappingError(
-                f"exact ILP exceeded its solve budget of {node_limit} on "
-                f"{topology.name}; shrink the spec or raise node_limit"
-            )
-        problem.solve(backend)
-        if pulp.LpStatus[problem.status] != "Optimal":
-            break
-        bound = pulp.value(problem.objective) or 0.0
-        if best_cost is not None and bound >= best_cost - 1e-9:
-            break
-        placement = {}
-        for core in cores:
-            for switch in alive:
-                if (x[core, switch].value() or 0.0) > 0.5:
-                    placement[core] = switch
-                    break
-        if len(placement) < count:  # pragma: no cover - solver pathology
-            break
-        try:
-            actual = engine.placement_cost(spec, topology, placement, groups=resolved)
-        except MappingError:
-            actual = None
-        if actual is not None and (best_cost is None or actual < best_cost):
-            best_cost = actual
-            best_placement = dict(placement)
-            if actual <= bound + 1e-9:
-                break  # the relaxation bound certifies optimality
-        # exclude this assignment (infeasible, or costlier than its bound
-        # because of slot-conflict detours) and re-solve
-        problem += pulp.lpSum(x[core, placement[core]] for core in cores) <= count - 1
-    if best_cost is None:
-        return None
-    return best_cost, best_placement
-
-
-_SOLVERS = {"native": _native_optimum, "pulp": _pulp_optimum}
-
-
-def _optimal_on_topology(
-    engine, spec, resolved, topology, cores, weights, solver, node_limit
-):
+def _optimal_on_topology(engine, spec, resolved, topology, cores, weights, node_limit):
     """(cost, placement) of the optimal feasible assignment, or ``None``."""
     alive = [switch.index for switch in topology.alive_switches]
     if not alive:
@@ -365,7 +217,7 @@ def _optimal_on_topology(
     if limit is not None and len(alive) * limit < len(cores):
         return None
     hops = _hop_table(topology, alive)
-    return _SOLVERS[solver](
+    return _native_optimum(
         engine, spec, resolved, topology, cores, weights, hops, alive,
         limit, node_limit,
     )
@@ -400,18 +252,15 @@ def exact_mapping(
         Either an existing engine (shares its caches and attached store) or
         the params/config to build a fresh one from.
     solver:
-        ``"auto"`` (pulp when importable, else native), ``"pulp"`` or
-        ``"native"``.
+        ``"auto"`` or ``"native"``; both run the branch-and-bound.  Any
+        other value raises :class:`~repro.exceptions.ConfigurationError`.
     node_limit:
-        Optional budget on search nodes (native) / ILP re-solves (pulp);
-        exceeding it raises :class:`~repro.exceptions.MappingError`.
-        ``None`` (the default) means unlimited — exact backends are meant
-        for small/medium specs.
+        Optional budget on search nodes; exceeding it raises
+        :class:`~repro.exceptions.MappingError`.  ``None`` (the default)
+        means unlimited — exact search is meant for small/medium specs.
 
     Raises
     ------
-    ExactBackendUnavailable
-        ``solver="pulp"`` without the optional dependency installed.
     MappingError
         No topology in the growth schedule admits a feasible assignment.
     """
@@ -419,7 +268,10 @@ def exact_mapping(
         engine = MappingEngine(
             params=params or NoCParameters(), config=config or MapperConfig()
         )
-    chosen = _resolve_solver(solver)
+    if solver not in ("auto", "native"):
+        raise ConfigurationError(
+            f"unknown exact solver {solver!r}; expected 'auto' or 'native'"
+        )
     spec = engine.compile(use_cases)
     resolved = engine.resolve_groups(spec, groups, switching_graph)
     if engine.config.enable_quick_infeasibility_check:
@@ -431,7 +283,7 @@ def exact_mapping(
     for topology in engine.mapper._topology_schedule(len(cores)):
         attempted.append(topology.name)
         outcome = _optimal_on_topology(
-            engine, spec, resolved, topology, cores, weights, chosen, node_limit
+            engine, spec, resolved, topology, cores, weights, node_limit
         )
         if outcome is None:
             continue

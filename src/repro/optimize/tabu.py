@@ -17,10 +17,10 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.engine import MappingEngine
-from repro.core.result import MappingResult
+from repro.core.result import MappingResult, total_communication_cost
 from repro.core.usecase import UseCaseSet
-from repro.exceptions import ConfigurationError, MappingError
-from repro.optimize.annealing import RefinementResult, communication_cost
+from repro.exceptions import ConfigurationError
+from repro.optimize.annealing import RefinementResult
 
 __all__ = ["TabuRefiner"]
 
@@ -34,7 +34,6 @@ class TabuRefiner:
         neighbours_per_iteration: int = 8,
         tabu_tenure: int = 10,
         seed: int = 0,
-        screen: bool = True,
     ) -> None:
         if iterations < 0 or neighbours_per_iteration <= 0 or tabu_tenure < 0:
             raise ConfigurationError("invalid tabu search configuration")
@@ -42,11 +41,6 @@ class TabuRefiner:
         self.neighbours_per_iteration = neighbours_per_iteration
         self.tabu_tenure = tabu_tenure
         self.seed = seed
-        #: batch-screen each iteration's neighbour sample and skip
-        #: candidates whose cost lower bound proves they cannot win the
-        #: iteration (winner selection, tabu list and payload are
-        #: bit-identical; ``False`` keeps the historical walk)
-        self.screen = screen
 
     def refine(
         self,
@@ -66,20 +60,15 @@ class TabuRefiner:
         # placements and costs alone, and only the single best placement is
         # materialised into a full result after the loop (assembly-only
         # thanks to the evaluation cache; results are pure functions of the
-        # placement, so decisions are unchanged).  With screening on, each
-        # iteration's whole sample is screened at once and candidates whose
-        # cost lower bound already exceeds the iteration's running winner
-        # are skipped without an exact evaluation — the winner, the tabu
-        # list and every accepted cost are bit-identical either way.
-        candidate_screen = (
-            engine.screener(spec, result.topology, groups=group_spec)
-            if self.screen
-            else None
-        )
+        # placement, so decisions are unchanged).  Each iteration's whole
+        # sample is screened at once, and candidates whose cost lower bound
+        # already exceeds the iteration's running winner are skipped
+        # without an exact evaluation.
+        candidate_screen = engine.screener(spec, result.topology, groups=group_spec)
         cores = sorted(result.core_mapping)
 
         current_placement = result.core_mapping
-        current_cost = communication_cost(result)
+        current_cost = total_communication_cost(result)
         best_placement: Optional[Dict[str, int]] = None  # None = the initial
         best_cost = current_cost
         tabu: Deque[Tuple[str, str]] = deque(maxlen=self.tabu_tenure or None)
@@ -88,35 +77,12 @@ class TabuRefiner:
         for _ in range(self.iterations):
             if len(cores) < 2:
                 break
-            if candidate_screen is not None:
-                winner = self._screened_iteration(
-                    candidate_screen, current_placement, cores, tabu, rng
-                )
-                if winner is None:
-                    continue
-                cost, placement, move = winner
-            else:
-                candidates: List[Tuple[float, Dict[str, int], Tuple[str, str]]] = []
-                for _ in range(self.neighbours_per_iteration):
-                    first, second = rng.sample(cores, 2)
-                    move = tuple(sorted((first, second)))
-                    if move in tabu:
-                        continue
-                    placement = dict(current_placement)
-                    placement[first], placement[second] = (
-                        placement[second], placement[first],
-                    )
-                    try:
-                        cost = engine.placement_cost(
-                            spec, result.topology, placement, groups=group_spec,
-                        )
-                    except MappingError:
-                        continue
-                    candidates.append((cost, placement, move))
-                if not candidates:
-                    continue
-                candidates.sort(key=lambda item: item[0])
-                cost, placement, move = candidates[0]
+            winner = self._screened_iteration(
+                candidate_screen, current_placement, cores, tabu, rng
+            )
+            if winner is None:
+                continue
+            cost, placement, move = winner
             current_placement, current_cost = placement, cost
             tabu.append(move)
             accepted += 1
@@ -132,7 +98,7 @@ class TabuRefiner:
         return RefinementResult(
             initial=result,
             refined=best,
-            initial_cost=communication_cost(result),
+            initial_cost=total_communication_cost(result),
             refined_cost=best_cost,
             iterations=self.iterations,
             accepted_moves=accepted,
@@ -148,18 +114,17 @@ class TabuRefiner:
     ) -> Optional[Tuple[float, Dict[str, int], Tuple[str, str]]]:
         """One tabu iteration through the batched candidate screen.
 
-        Samples the iteration's neighbours first (consuming the rng stream
-        exactly as the scalar walk does — the tabu check precedes any
-        evaluation there too), batch-screens them, then evaluates in sample
-        order keeping a running strict-``<`` minimum — the same winner a
-        stable sort by cost selects.  A candidate is skipped without exact
+        Samples the iteration's neighbours first (the tabu check precedes
+        any evaluation), batch-screens them, then evaluates in sample order
+        keeping a running strict-``<`` minimum — the same winner a stable
+        sort of the sample by exact cost selects.  A candidate is skipped without exact
         evaluation only when screening proves it cannot win: its projection
         is a known infeasibility, or its cost lower bound exceeds the
         running winner beyond any float-accumulation noise (the relative
         ``PRUNE_MARGIN``; a feasible candidate's exact cost is never below
         its lower bound by more than that).  Returns the winning
         ``(cost, placement, move)``, or ``None`` when every sampled move
-        was tabu or infeasible — the scalar walk's empty-candidates case.
+        was tabu or infeasible.
         """
         from repro.optimize.screen import PRUNE_MARGIN
 

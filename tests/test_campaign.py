@@ -221,6 +221,24 @@ def test_campaign_run_reduces_into_ranked_report(tmp_path):
     assert trajectory[0]["wallclock_s"] >= 0
 
 
+def test_campaign_over_the_mesh8x8_recipe_is_pinned(tmp_path):
+    # One cold cell: the 100-use-case, 48-core recipe forced onto mesh-8x8
+    # and refined by a 2-iteration tabu walk.
+    spec = CampaignSpec.from_dict({
+        "name": "mesh8x8",
+        "workloads": [{"recipe": "mesh8x8_bottleneck100"}],
+        "methods": [{"label": "tabu", "kind": "refine",
+                     "knobs": {"method": "tabu", "iterations": 2}}],
+    })
+    summary = CampaignRunner(tmp_path / "camp").run(spec)
+    assert summary["executed"] == summary["cells"] == 1
+    report = json.loads((tmp_path / "camp" / "report.json").read_text())
+    outcome = report["cells"][0]["outcome"]
+    assert outcome["mapped"]
+    assert (outcome["topology"], outcome["switch_count"]) == ("mesh-8x8", 64)
+    assert report["best_known"]["mesh8x8_bottleneck100"]["cost"] == 223748.791651
+
+
 def test_campaign_resume_executes_zero_completed_cells(tmp_path):
     spec = tiny_campaign(seeds=[1, 2])  # 4 cells
     camp = tmp_path / "camp"

@@ -18,17 +18,8 @@ import pytest
 
 from repro import MapperConfig, MappingEngine, NoCParameters, generate_benchmark
 from repro.core.validate import validate_mapping
-from repro.exceptions import (
-    ConfigurationError,
-    ExactBackendUnavailable,
-    MappingError,
-)
-from repro.optimize.ilp import (
-    EXACT_METHOD_NAME,
-    available_solvers,
-    exact_mapping,
-    solver_invocations,
-)
+from repro.exceptions import ConfigurationError, MappingError
+from repro.optimize.ilp import EXACT_METHOD_NAME, exact_mapping, solver_invocations
 
 #: golden optimality-gap numbers for the paper's spread-10 design reduced to
 #: 8 cores (the full 20-core instance is out of exact reach by construction)
@@ -184,8 +175,10 @@ def test_engine_dispatches_ilp_backend():
 def test_unknown_backend_and_solver_are_rejected():
     with pytest.raises(ConfigurationError, match="backend"):
         MapperConfig(backend="quantum")
-    with pytest.raises(ConfigurationError, match="unknown exact solver"):
-        exact_mapping(tiny_spec(0), solver="simplex")
+    # the branch-and-bound is the only exact solver; "pulp" is not one
+    for solver in ("simplex", "pulp"):
+        with pytest.raises(ConfigurationError, match="unknown exact solver"):
+            exact_mapping(tiny_spec(0), solver=solver)
 
 
 def test_node_limit_bounds_the_search():
@@ -202,26 +195,3 @@ def test_infeasible_spec_raises_mapping_error():
     )
     with pytest.raises(MappingError):
         exact_mapping(use_cases, engine=engine, solver="native")
-
-
-# --------------------------------------------------------------------------- #
-# the optional pulp solver (skips cleanly when the dependency is absent)
-# --------------------------------------------------------------------------- #
-def test_pulp_solver_unavailable_raises_cleanly():
-    if "pulp" in available_solvers():
-        pytest.skip("pulp is installed in this environment")
-    with pytest.raises(ExactBackendUnavailable, match="pulp"):
-        exact_mapping(tiny_spec(0), solver="pulp")
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_pulp_matches_native(seed):
-    pytest.importorskip("pulp")
-    engine = tight_engine()
-    use_cases = tiny_spec(seed)
-    native = exact_mapping(use_cases, engine=engine, solver="native")
-    via_pulp = exact_mapping(use_cases, engine=tight_engine(), solver="pulp")
-    assert via_pulp.topology.name == native.topology.name
-    assert exact_cost_of(engine, use_cases, via_pulp) == exact_cost_of(
-        engine, use_cases, native
-    )

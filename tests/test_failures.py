@@ -29,6 +29,7 @@ from repro.core.repair import repair_mapping
 from repro.exceptions import RoutingError, SpecificationError, TopologyError
 from repro.gen import generate_benchmark
 from repro.io.serialization import (
+    mapping_fingerprint,
     mapping_result_to_dict,
     save_mapping_result,
     save_use_case_set,
@@ -43,6 +44,7 @@ from repro.jobs import (
     save_job,
 )
 from repro.jobs.cli import main as cli_main
+from repro.jobs.store import EngineStateStore
 from repro.noc import FailureSet, PathSelector, Topology
 from repro.ops.events import apply_traffic
 
@@ -185,6 +187,32 @@ def test_repair_zero_affected_is_pure_splice():
     assert outcome.evaluations["evaluation_misses"] == 0
     assert outcome.repaired_cost == pytest.approx(outcome.baseline_cost)
     assert outcome.metrics()["cost_delta"] == pytest.approx(0.0)
+
+
+def test_warm_single_link_repair_of_sparse_spread10_is_pinned(tmp_path):
+    # Sparse spread-10 provisioned on mesh-4x4: link 1<->5 carries 7 of the
+    # 10 groups, and a fresh engine warmed from the store repairs them
+    # without computing a single evaluation.
+    use_cases = generate_benchmark(
+        "spread", 10, core_count=16, seed=3, flows_per_use_case=(6, 10)
+    )
+    failures = FailureSet().mark_link_down(1, 5)
+    store = EngineStateStore(tmp_path / "store")
+    engine = MappingEngine()
+    engine.attach_store(store)
+    baseline = engine.map(use_cases, topology=Topology.mesh(4, 4))
+    repair_mapping(engine, use_cases, baseline, failures)
+    store.ingest(engine.export_results(), engine.export_evaluations())
+
+    warm = MappingEngine()
+    warm.attach_store(EngineStateStore(tmp_path / "store"))
+    outcome = repair_mapping(warm, use_cases, baseline, failures)
+    assert (len(outcome.affected_group_ids), outcome.groups_total) == (7, 10)
+    assert warm.cache_info()["evaluation_misses"] == 0
+    assert outcome.repaired.topology.name == "mesh-4x4+fb3a87e3c"
+    assert mapping_fingerprint(outcome.repaired) == (
+        "623f02d407b15cb84e2b2d58ee80c52646b520bfb9d9ab20566a98495d747281"
+    )
 
 
 def test_repair_reports_unrepairable_gracefully():

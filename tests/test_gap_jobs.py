@@ -157,21 +157,6 @@ def test_cli_gap_error_paths_are_one_line(argv, needle, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
-def test_cli_gap_missing_pulp_is_a_one_line_error(capsys):
-    pulp_installed = True
-    try:
-        import pulp  # noqa: F401
-    except ImportError:
-        pulp_installed = False
-    if pulp_installed:
-        pytest.skip("pulp is installed in this environment")
-    assert cli_main(["gap", "--spread", "3", "--solver", "pulp"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
-    assert "pulp" in captured.err
-    assert len(captured.err.strip().splitlines()) == 1
-
-
 def test_cli_gap_infeasible_spec_is_a_one_line_error(tmp_path, capsys):
     design = save_use_case_set(
         generate_benchmark("spread", 3, core_count=6, seed=11,

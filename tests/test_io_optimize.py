@@ -15,6 +15,7 @@ from repro import (
     load_use_case_set,
     save_use_case_set,
 )
+from repro.core.result import total_communication_cost
 from repro.io import (
     design_to_dict,
     export_design,
@@ -26,7 +27,6 @@ from repro.io import (
     use_case_set_to_dict,
 )
 from repro.optimize import AnnealingRefiner, TabuRefiner, refine_mapping
-from repro.optimize.annealing import communication_cost
 from repro.units import mbps, mhz
 
 
@@ -191,7 +191,7 @@ def test_tabu_refiner_improves_or_keeps_cost(figure5_use_cases):
     outcome = TabuRefiner(iterations=5, neighbours_per_iteration=4).refine(
         initial, figure5_use_cases
     )
-    assert outcome.refined_cost <= communication_cost(initial)
+    assert outcome.refined_cost <= total_communication_cost(initial)
 
 
 def test_refiner_configuration_validation():

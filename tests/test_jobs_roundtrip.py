@@ -211,7 +211,7 @@ def random_gap(rng, design_file):
         use_cases=random_source(rng, design_file),
         params=random_params(rng),
         config=random_config(rng),
-        solver=rng.choice(["auto", "pulp", "native"]),
+        solver=rng.choice(["auto", "native"]),
         groups=random_groups(rng),
         refine_iterations=rng.choice([0, 0, 50, 200]),
         seed=rng.randint(0, 999),

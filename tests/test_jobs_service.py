@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +108,32 @@ def test_service_moves_bad_specs_to_failed_and_keeps_serving(tmp_path):
     assert [entry.name for entry in service.done_dir.glob("*.json")] == ["c_good.json"]
     # failed files produce no results file, only the manifest record
     assert [entry.stem for entry in service.results_dir.glob("*.json")] == ["c_good"]
+
+
+def test_save_job_that_fails_halfway_publishes_no_spec(tmp_path, monkeypatch):
+    # A save into a live inbox that dies mid-write (disk full, killed
+    # writer) must not leave a partial *.json for the next drain to claim
+    # and fail: the monitor has logged that enqueue, so its repair would
+    # never run.
+    inbox = tmp_path / "inbox"
+    service = JobDirectoryService(inbox)
+    write_text, write_bytes = Path.write_text, Path.write_bytes
+
+    def torn(self, data, *args, **kwargs):
+        write = write_text if isinstance(data, str) else write_bytes
+        write(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn)
+    monkeypatch.setattr(Path, "write_bytes", torn)
+    with pytest.raises(OSError):
+        save_job(WorstCaseJob(use_cases=SPREAD3), inbox / "monitor-000001-0.json")
+    monkeypatch.undo()
+
+    assert not list(inbox.glob("*.json"))
+    assert not [entry for entry in inbox.iterdir() if entry.is_file()]
+    assert service.run_once() == []
+    assert not list(service.failed_dir.glob("*.json"))
 
 
 def test_service_recovers_files_stranded_in_running(tmp_path):

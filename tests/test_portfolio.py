@@ -17,7 +17,9 @@ import json
 
 import pytest
 
+from repro.core.engine import MappingEngine
 from repro.exceptions import SpecificationError
+from repro.gen import generate_benchmark
 from repro.jobs import (
     PortfolioRefineJob,
     RefineJob,
@@ -28,6 +30,7 @@ from repro.jobs import (
 )
 from repro.jobs.cli import main as cli_main
 from repro.jobs.runner import execute_job
+from repro.optimize import AnnealingRefiner, TabuRefiner
 from repro.optimize.annealing import DEFAULT_INITIAL_TEMPERATURE
 from repro.optimize.portfolio import (
     CHAIN_TEMPERATURE_FACTOR,
@@ -148,6 +151,36 @@ def test_portfolio_execution_is_deterministic():
     engine_stats = first.stats["engine"]
     assert engine_stats["screen_misses"] > 0
     assert engine_stats["evaluation_misses"] > 0
+
+
+def test_tabu_chains_sharing_an_engine_beat_annealing_on_spread40():
+    # The paper's largest synthetic sweep point: 30 annealing iterations
+    # find no better placement, while three 4-iteration tabu chains with
+    # distinct seeds on one engine (each recalls the others' evaluations)
+    # do.
+    use_cases = generate_benchmark("spread", 40, seed=3)
+    annealing_engine = MappingEngine()
+    annealed = AnnealingRefiner(iterations=30, seed=0).refine(
+        annealing_engine.map(use_cases), use_cases, engine=annealing_engine
+    )
+    annealing_improvement = annealed.initial_cost - annealed.refined_cost
+
+    engine = MappingEngine()
+    initial = engine.map(use_cases)
+    best = min(
+        (
+            TabuRefiner(iterations=4, seed=seed).refine(
+                initial, use_cases, engine=engine
+            )
+            for seed in range(3)
+        ),
+        key=lambda outcome: outcome.refined_cost,
+    )
+    improvement = best.initial_cost - best.refined_cost
+    assert annealing_improvement == 0.0
+    assert improvement == 12440212398.182098
+    assert improvement > 0 and improvement >= 2.0 * annealing_improvement
+    assert engine.cache_info()["screen_misses"] > 0
 
 
 def test_single_chain_portfolio_matches_plain_refine_job():

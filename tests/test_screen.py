@@ -1,10 +1,10 @@
 """Tests for the candidate screen (repro.optimize.screen).
 
 Pins the contract: screening is a pure *speed* change.  A screened
-refinement run is bit-identical to the unscreened walk through
-``MappingEngine.placement_cost`` (same refined cost, same accepted moves,
-same mapping fingerprint, same exported evaluations), and
-``CandidateScreen.cost`` agrees with ``MappingEngine.placement_cost``
+refinement run makes the same decisions as the retired unscreened walk
+through ``MappingEngine.placement_cost`` (same refined cost, same accepted
+moves, same mapping fingerprint, pinned below as that walk recorded them),
+and ``CandidateScreen.cost`` agrees with ``MappingEngine.placement_cost``
 candidate for candidate — returning ``None`` exactly where the engine
 raises ``MappingError``.  Its batch verdicts are exact or true lower
 bounds.
@@ -12,6 +12,8 @@ bounds.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -25,6 +27,7 @@ from repro.core.engine import MappingEngine
 from repro.exceptions import MappingError
 from repro.gen import generate_benchmark
 from repro.io.serialization import mapping_fingerprint
+from repro.noc import Topology
 from repro.optimize import AnnealingRefiner, TabuRefiner
 
 
@@ -33,49 +36,92 @@ def spread10():
 
 
 # --------------------------------------------------------------------------- #
-# refinement bit-identity (the contract everything hangs off)
+# refinement decisions (the contract everything hangs off)
 # --------------------------------------------------------------------------- #
-def _refine(refiner_cls, use_cases, result, **kwargs):
+def _spread10_mapped():
+    use_cases = spread10()
+    return use_cases, MappingEngine().map(use_cases)
+
+
+def _spread100_on_mesh8x8():
+    # 100 use cases of 48 cores forced onto mesh-8x8: thousands of minimal
+    # paths over 224 links, the big-mesh regime the screen exists for
+    use_cases = generate_benchmark(
+        "spread", 100, core_count=48, seed=3, flows_per_use_case=(8, 14)
+    )
+    return use_cases, MappingEngine().map(use_cases, topology=Topology.mesh(8, 8))
+
+
+#: (refiner, knobs, design), then the refined cost, accepted moves and
+#: refined fingerprint of the deleted unscreened ``placement_cost`` walk,
+#: then the SHA-256 of the screened walk's ``export_evaluations()`` — all
+#: recorded on the last commit that had both walks.  Screening prunes tabu
+#: candidates that cannot win and may evaluate annealing candidates in
+#: another order, so only "annealing-25" exports exactly what the
+#: unscreened walk exported.
+WALKS = {
+    "annealing": (
+        AnnealingRefiner, dict(iterations=40, seed=1), _spread10_mapped,
+        32815200873.850708, 30,
+        "fe6d93388377d6e6d578733f2efe5de71e885b8b2f4280ddd634f13a74994a29",
+        "66d02b84b84cc9819f8c02c390d93a5bb0937f423a46a35e84eaee8285a9562b",
+    ),
+    "tabu": (
+        TabuRefiner, dict(iterations=8, seed=1), _spread10_mapped,
+        28671312062.759502, 8,
+        "f78120e69aa4bb0454c9a4fa6a51c07c782f549e6de7ac2a0401562498373655",
+        "c0cb559a6ff49a1bfe5317f62069e5885a199ef86a8b8d1d9e759543fe795435",
+    ),
+    "annealing-25": (
+        AnnealingRefiner, dict(iterations=25, seed=1), _spread10_mapped,
+        32815200873.850708, 21,
+        "fe6d93388377d6e6d578733f2efe5de71e885b8b2f4280ddd634f13a74994a29",
+        "0e1784b70b7b47707ddf425bdccffd2bf15896e8fb445b9ed689e186efb036ac",
+    ),
+    # the 60-iteration seed-0 anneal of spread-10 on mesh-2x2
+    "annealing-60": (
+        AnnealingRefiner, dict(iterations=60, seed=0), _spread10_mapped,
+        31254044270.59212, 33,
+        "7f3d6548477951dd68d8f8d114a92281f8a00c0213692112d898840103af2cef",
+        "c52e256695ee872221114f73ad5fe4b1b7713e41ddceee58b0374f353b1e8aa6",
+    ),
+    "tabu-mesh8x8": (
+        TabuRefiner, dict(iterations=2, neighbours_per_iteration=6, seed=0),
+        _spread100_on_mesh8x8,
+        217042876065.28738, 2,
+        "7f03c88d589a8ac716b203db7cff1679737e9f05b433a05940bbfd028b4c6cd2",
+        "1b013c22800334c51c13e2ff16a530d82deaad2085674c0383421ad142403992",
+    ),
+}
+
+
+def _run_pinned_walk(case):
+    refiner_cls, knobs, design, cost, accepted, fingerprint, exports = WALKS[case]
+    use_cases, result = design()
     engine = MappingEngine()
-    outcome = refiner_cls(seed=1, **kwargs).refine(result, use_cases, engine=engine)
-    return outcome, engine
+    outcome = refiner_cls(**knobs).refine(result, use_cases, engine=engine)
+    assert outcome.refined_cost == cost
+    assert outcome.accepted_moves == accepted
+    assert mapping_fingerprint(outcome.refined) == fingerprint
+    digest = hashlib.sha256(
+        json.dumps(engine.export_evaluations(), sort_keys=True).encode()
+    ).hexdigest()
+    assert digest == exports
+    return engine
 
 
 @pytest.mark.parametrize(
-    "refiner_cls,kwargs",
-    [
-        (AnnealingRefiner, {"iterations": 40}),
-        (TabuRefiner, {"iterations": 8}),
-    ],
-    ids=["annealing", "tabu"],
+    "case", ["annealing", "tabu", "annealing-60", "tabu-mesh8x8"]
 )
-def test_screened_refinement_is_bit_identical_to_scalar(refiner_cls, kwargs):
-    use_cases = spread10()
-    result = MappingEngine().map(use_cases)
-    scalar, scalar_engine = _refine(
-        refiner_cls, use_cases, result, screen=False, **kwargs
-    )
-    assert scalar_engine.cache_info()["screen_misses"] == 0
-
-    outcome, engine = _refine(refiner_cls, use_cases, result, **kwargs)
-    assert outcome.refined_cost == scalar.refined_cost
-    assert outcome.accepted_moves == scalar.accepted_moves
-    assert outcome.refined.core_mapping == scalar.refined.core_mapping
-    assert mapping_fingerprint(outcome.refined) == mapping_fingerprint(scalar.refined)
-    info = engine.cache_info()
+def test_screened_refinement_is_bit_identical_to_scalar(case):
+    info = _run_pinned_walk(case).cache_info()
     assert info["screen_misses"] > 0
     # a screen computation *is* a computed evaluation
     assert info["evaluation_misses"] >= info["screen_misses"]
 
 
 def test_screened_exports_match_scalar_exports():
-    use_cases = spread10()
-    result = MappingEngine().map(use_cases)
-    _, scalar_engine = _refine(
-        AnnealingRefiner, use_cases, result, screen=False, iterations=25
-    )
-    _, screened_engine = _refine(AnnealingRefiner, use_cases, result, iterations=25)
-    assert screened_engine.export_evaluations() == scalar_engine.export_evaluations()
+    _run_pinned_walk("annealing-25")
 
 
 # --------------------------------------------------------------------------- #
