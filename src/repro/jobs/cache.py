@@ -22,16 +22,26 @@ The store is deliberately simple and concurrency-tolerant:
   and carry no engine state — that lives in the engine-state store;
 * unreadable or corrupt entries — including documents that parse but are
   not this key's envelope — count as misses and are re-computed.
+
+An entry is encoded once and never again.  :meth:`JobCache.put` stores a
+result's :meth:`~repro.jobs.runner.JobResult.to_json` text, which is also
+what the service publishes for that fresh result.  :meth:`JobCache.get`
+parses an entry once, to check it, and hands back a hit whose text is the
+stored bytes with only the ``cached`` flag flipped to ``true``, so
+publishing a hit re-encodes nothing.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.io.serialization import atomic_write
 from repro.jobs.store import EngineStateStore
+
+if TYPE_CHECKING:  # pragma: no cover - the runner imports this module
+    from repro.jobs.runner import JobResult
 
 __all__ = ["JobCache"]
 
@@ -66,22 +76,31 @@ class JobCache:
         return self.directory / f"{key}.json"
 
     @staticmethod
-    def _read(path: Path):
-        """The parsed JSON document in ``path``, or ``None`` if unreadable."""
+    def _read(path: Path) -> Optional[Tuple[str, object]]:
+        """The text in ``path`` and its parsed JSON, or ``None`` if unreadable."""
         try:
-            return json.loads(path.read_text())
+            text = path.read_text()
+            return text, json.loads(text)
         except (OSError, json.JSONDecodeError):
             return None
 
-    def get(self, key: str) -> Optional[Dict]:
-        """The stored result document for a key, or ``None`` on a miss.
+    def get(self, key: str) -> Optional[JobResult]:
+        """The stored result for a key as a cache hit, or ``None`` on a miss.
 
         Anything but this key's envelope — unreadable, not JSON, or JSON
         that is not a dict with a ``kind``, a dict ``payload`` and a
         ``spec_hash`` equal to ``key`` — is a miss, so the job is recomputed
         and the entry overwritten.
+
+        A hit is built from the one parse these checks need
+        (:meth:`~repro.jobs.runner.JobResult.from_cache_entry`): its
+        ``cached`` is set and, for an entry in the layout :meth:`put`
+        writes, its JSON text is the stored bytes with only that flag
+        flipped, so publishing it encodes nothing.
         """
-        document = self._read(self.path_for(key))
+        from repro.jobs.runner import JobResult  # the runner imports this module
+
+        text, document = self._read(self.path_for(key)) or (None, None)
         if (
             not isinstance(document, dict)
             or "kind" not in document
@@ -91,11 +110,16 @@ class JobCache:
             self.misses += 1
             return None
         self.hits += 1
-        return document
+        return JobResult.from_cache_entry(text, document)
 
-    def put(self, key: str, document: Dict) -> Path:
-        """Atomically store one result document; returns the path written."""
-        target = atomic_write(self.path_for(key), json.dumps(document))
+    def put(self, key: str, result: JobResult) -> Path:
+        """Atomically store one result; returns the path written.
+
+        The entry is ``result.to_json()``: the text is encoded at most once
+        and kept on the result, so the service publishes the same string
+        as that fresh result's results-file entry.
+        """
+        target = atomic_write(self.path_for(key), result.to_json())
         self.stores += 1
         return target
 
@@ -120,11 +144,12 @@ class JobCache:
         for stored in sorted(self.directory.glob("*.json")):
             if seen is not None and stored.name in seen:
                 continue
-            document = self._read(stored)
-            if document is None:
+            read = self._read(stored)
+            if read is None:
                 continue
             if seen is not None:
                 seen.add(stored.name)
+            document = read[1]
             if not isinstance(document, dict):
                 continue
             entries = document.get("engine_results")

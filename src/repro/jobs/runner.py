@@ -62,6 +62,11 @@ from repro.noc.topology import Topology
 
 __all__ = ["JobResult", "JobRunner", "execute_job"]
 
+#: the keys of :meth:`JobResult.to_dict`, in its order
+_ENVELOPE_KEYS = [
+    "kind", "spec_hash", "params", "config", "payload", "elapsed_s", "cached", "stats",
+]
+
 
 @dataclass
 class JobResult:
@@ -70,6 +75,12 @@ class JobResult:
     ``payload`` is the deterministic outcome (bit-identical across serial,
     parallel and cached execution); ``elapsed_s``, ``stats`` and ``cached``
     are diagnostics and vary run to run.
+
+    ``text`` is the envelope's JSON, which :meth:`to_json` returns.  A
+    cache hit arrives with it set to the stored bytes (``cached`` flipped
+    to ``true``); otherwise the first :meth:`to_json` call encodes it.  It
+    is not part of the envelope: :meth:`to_dict`, equality and ``repr``
+    leave it out, and it is not updated if a field changes afterwards.
     """
 
     kind: str
@@ -80,9 +91,21 @@ class JobResult:
     elapsed_s: float = 0.0
     cached: bool = False
     stats: Dict = field(default_factory=dict)
+    text: Optional[str] = field(default=None, compare=False, repr=False)
+
+    def to_json(self) -> str:
+        """The envelope as compact JSON, encoded at most once.
+
+        Equal to ``json.dumps(self.to_dict())``.  The text is kept, so a
+        fresh result's cache entry and its results-file entry are one
+        string, and a cache hit publishes the bytes it read.
+        """
+        if self.text is None:
+            self.text = json.dumps(self.to_dict())
+        return self.text
 
     def to_dict(self) -> Dict:
-        """JSON-ready dictionary form (what the cache stores)."""
+        """JSON-ready dictionary form (what :meth:`to_json` encodes)."""
         return {
             "kind": self.kind,
             "spec_hash": self.spec_hash,
@@ -112,6 +135,28 @@ class JobResult:
             cached=bool(document.get("cached", False)),
             stats=document.get("stats", {}),
         )
+
+    @classmethod
+    def from_cache_entry(cls, text: str, document: Dict) -> "JobResult":
+        """The cache hit a stored entry answers; ``document`` is ``text`` parsed.
+
+        An entry :class:`~repro.jobs.cache.JobCache` stored is
+        :meth:`to_json`, so it ends with ``, "cached": false, "stats":
+        <stats>}``.  When ``document`` has exactly :meth:`to_dict`'s keys
+        in that order, its ``cached`` is false and ``text`` ends with
+        exactly that suffix re-encoded from the parsed ``stats``, the hit's
+        :attr:`text` is ``text`` with the suffix swapped for its ``true``
+        form: the bytes ``json.dumps`` would write for the hit.  Any other
+        layout leaves :attr:`text` unset, to be encoded from the document.
+        """
+        hit = cls.from_dict(document)
+        hit.cached = True
+        if list(document) == _ENVELOPE_KEYS and document["cached"] is False:
+            stats = json.dumps(document["stats"])
+            stored = f', "cached": false, "stats": {stats}}}'
+            if text.endswith(stored):
+                hit.text = f'{text[:-len(stored)]}, "cached": true, "stats": {stats}}}'
+        return hit
 
 
 # --------------------------------------------------------------------------- #
@@ -634,10 +679,8 @@ class JobRunner:
                 results[index] = loaded[spec_hash]
                 continue
             if self.cache is not None:
-                stored = self.cache.get(spec_hash)
-                if stored is not None:
-                    hit = JobResult.from_dict(stored)
-                    hit.cached = True
+                hit = self.cache.get(spec_hash)
+                if hit is not None:
                     loaded[spec_hash] = hit
                     results[index] = hit
                     continue
@@ -661,7 +704,7 @@ class JobRunner:
             for result in fresh:
                 results[pending[result.spec_hash]] = result
                 if self.cache is not None:
-                    stored = self.cache.put(result.spec_hash, result.to_dict())
+                    stored = self.cache.put(result.spec_hash, result)
                     self._seed_files.add(stored.name)
 
         # Fan results out to duplicate and cache-hit positions.

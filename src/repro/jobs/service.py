@@ -50,9 +50,14 @@ The lifecycle contract:
   and handled like any transient failure.  Results are written to a
   temporary file and validated (parsed) by the parent before the atomic
   rename that publishes them, so a crash mid-write can never publish a
-  torn results file.  In both modes the results are compact JSON: any
-  ``indent`` would force CPython's pure-Python encoder, which costs a
-  cache hit more than everything else it does.
+  torn results file.  In both modes the results are compact JSON, and
+  each envelope in them is encoded at most once: a fresh result's entry
+  is the very text the cache stored, and a cache hit's is the bytes the
+  cache read with only the ``cached`` flag flipped
+  (:meth:`~repro.jobs.runner.JobResult.to_json`).  An ``indent`` would
+  force CPython's pure-Python encoder, which costs a cache hit more than
+  everything else it does.  The parse that validates the text before it
+  is published stays: it is what catches a corrupt write.
 
 Every processed file appends one record to ``manifest.jsonl`` (append-only,
 one JSON object per line) so external tooling can tail service history
@@ -395,8 +400,12 @@ class JobDirectoryService:
 
     @staticmethod
     def _results_text(results: List) -> str:
-        """One file's envelopes as compact JSON, for both attempt paths."""
-        return json.dumps([result.to_dict() for result in results])
+        """One file's envelopes as compact JSON, for both attempt paths.
+
+        Joins each envelope's kept :meth:`~repro.jobs.runner.JobResult.to_json`
+        text, byte-identical to ``json.dumps`` of the list of ``to_dict()``s.
+        """
+        return "[" + ", ".join(result.to_json() for result in results) + "]"
 
     @staticmethod
     def _validated(text: str) -> List[Dict]:
@@ -494,9 +503,11 @@ class JobDirectoryService:
                 )
             text = tmp_path.read_text()
             envelopes = self._validated(text)
-            executed = sum(
-                1 for envelope in envelopes if not envelope.get("cached")
-            )
+            # A duplicated spec executes once, as in-process: count hashes.
+            executed = len({
+                envelope["spec_hash"] for envelope in envelopes
+                if not envelope.get("cached")
+            })
             return text, envelopes, executed
         finally:
             try:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +238,25 @@ def test_campaign_over_the_mesh8x8_recipe_is_pinned(tmp_path):
     assert outcome["mapped"]
     assert (outcome["topology"], outcome["switch_count"]) == ("mesh-8x8", 64)
     assert report["best_known"]["mesh8x8_bottleneck100"]["cost"] == 223748.791651
+
+
+def test_campaign_over_the_mesh16x16_study_is_pinned(tmp_path):
+    # The committed 16x16 study: the design flow picks the smallest mesh
+    # that fits, while the recipe forces the 4-iteration anneal onto
+    # mesh-16x16, where it does not improve on its initial mapping.
+    examples = Path(__file__).resolve().parent.parent / "examples" / "campaigns"
+    spec = load_campaign(examples / "mesh16x16_study.json")
+    summary = CampaignRunner(tmp_path / "camp").run(spec)
+    assert summary["executed"] == summary["cells"] == 2
+    report = json.loads((tmp_path / "camp" / "report.json").read_text())
+    outcomes = {cell["method"]: cell["outcome"] for cell in report["cells"]}
+    flow, anneal = outcomes["flow"], outcomes["anneal"]
+    assert (flow["topology"], flow["switch_count"]) == ("mesh-5x6", 30)
+    assert flow["cost"] == 183987.966739
+    assert (anneal["topology"], anneal["switch_count"]) == ("mesh-16x16", 256)
+    assert anneal["cost"] == 464492.859431
+    assert anneal["improvement"] == 0.0
+    assert report["best_known"]["mesh16x16_spread200"]["method"] == "flow"
 
 
 def test_campaign_resume_executes_zero_completed_cells(tmp_path):

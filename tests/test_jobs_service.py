@@ -12,16 +12,22 @@ Pins these contracts:
   design-flow job computed performs **zero** mapping re-evaluations
   (asserted on the engine's ``cache_info()`` counters);
 * lean envelopes — compact JSON with no engine exports — and a cache that
-  treats anything but the key's own envelope as a miss.
+  treats anything but the key's own envelope as a miss;
+* one encoding per envelope — a fresh result's results entry is its cache
+  entry, a hit publishes the bytes it read with ``cached`` flipped, and
+  both are byte-identical to ``json.dumps`` of the envelopes' dicts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import MappingEngine
 from repro.gen import generate_benchmark
@@ -29,6 +35,7 @@ from repro.io.serialization import mapping_fingerprint
 from repro.jobs import (
     DesignFlowJob,
     EngineStateStore,
+    FaultInjector,
     FrequencyJob,
     JobCache,
     JobDirectoryService,
@@ -37,6 +44,7 @@ from repro.jobs import (
     RefineJob,
     UseCaseSource,
     WorstCaseJob,
+    job_to_dict,
     save_job,
 )
 from repro.jobs.cli import main as cli_main
@@ -58,6 +66,18 @@ def read_manifest(service):
 
 def read_results(service, record):
     return json.loads((service.inbox / record["results"]).read_text())
+
+
+def write_jobs(path, jobs):
+    """Submit several jobs as one spec file (a JSON list of job documents)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps([job_to_dict(job) for job in jobs]))
+
+
+def dict_encoding(text):
+    """The reference bytes of a results file: ``json.dumps`` of the list of
+    its envelopes' ``JobResult.to_dict()``s."""
+    return json.dumps([JobResult.from_dict(entry).to_dict() for entry in json.loads(text)])
 
 
 # --------------------------------------------------------------------------- #
@@ -406,7 +426,179 @@ def test_cache_entry_that_is_not_the_keys_envelope_is_a_miss(
     assert (record["executed"], record["cached"]) == (1, 0)
     assert (cache.hits, cache.misses) == (0, 2)
     # ...and the entry was overwritten with the key's own envelope
-    assert cache.get(key)["spec_hash"] == key
+    assert cache.get(key).spec_hash == key
+
+
+# --------------------------------------------------------------------------- #
+# one encoding per envelope
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("job_timeout_s", [None, 60.0], ids=["in-process", "isolated"])
+def test_fresh_entry_is_published_as_stored_and_a_hit_flips_only_its_flag(
+    tmp_path, job_timeout_s
+):
+    inbox = tmp_path / "inbox"
+    service = JobDirectoryService(inbox, cache_dir=tmp_path / "cache",
+                                  job_timeout_s=job_timeout_s)
+    save_job(WorstCaseJob(use_cases=SPREAD3), inbox / "a_fresh.json")
+    save_job(WorstCaseJob(use_cases=SPREAD3), inbox / "b_hit.json")
+    fresh, hit = service.run_once()
+    assert (fresh["cached"], hit["cached"]) == (0, 1)
+
+    entry = service.runner.cache.path_for(fresh["spec_hashes"][0]).read_text()
+    assert entry == json.dumps(JobResult.from_dict(json.loads(entry)).to_dict())
+    # the fresh result's results entry is its cache entry, byte for byte
+    assert (inbox / fresh["results"]).read_text() == "[" + entry + "]"
+
+    published = (inbox / hit["results"]).read_text()
+    assert published == dict_encoding(published)
+    (envelope,) = json.loads(published)
+    assert envelope["cached"] is True
+    assert envelope["payload"] == json.loads(entry)["payload"]
+    # ...and the hit's is the bytes the cache read, with only the flag flipped
+    assert entry.count('"cached": false') == 1
+    assert published == "[" + entry.replace('"cached": false', '"cached": true') + "]"
+
+
+def _stats_before_payload(envelope):
+    order = ("kind", "spec_hash", "params", "config", "stats", "payload",
+             "elapsed_s", "cached")
+    return json.dumps({key: envelope[key] for key in order})
+
+
+@pytest.mark.parametrize(
+    "relayout",
+    [
+        lambda envelope: json.dumps(envelope, indent=2),
+        _stats_before_payload,
+        lambda envelope: json.dumps(dict(envelope, cached=True)),
+    ],
+    ids=["indent-2", "stats-before-payload", "stored-cached"],
+)
+def test_cache_entry_in_another_layout_hits_and_publishes_its_document(
+    tmp_path, relayout
+):
+    inbox = tmp_path / "inbox"
+    service = JobDirectoryService(inbox, cache_dir=tmp_path / "cache")
+    save_job(WorstCaseJob(use_cases=SPREAD3), inbox / "first.json")
+    key = service.run_once()[0]["spec_hashes"][0]
+    cache = service.runner.cache
+    entry = cache.path_for(key)
+    entry.write_text(relayout(json.loads(entry.read_text())))
+    # not the layout put writes: the hit is encoded from its document
+    assert cache.get(key).text is None
+
+    save_job(WorstCaseJob(use_cases=SPREAD3), inbox / "again.json")
+    record = service.run_once()[0]
+    assert (record["cached"], record["executed"]) == (1, 0)
+    published = (inbox / record["results"]).read_text()
+    stored = JobResult.from_dict(json.loads(entry.read_text()))
+    stored.cached = True
+    assert json.loads(published) == json.loads(json.dumps([stored.to_dict()]))
+
+
+@pytest.mark.parametrize("job_timeout_s", [None, 60.0], ids=["in-process", "isolated"])
+def test_file_mixing_a_hit_a_miss_and_a_duplicate_hit(tmp_path, job_timeout_s):
+    inbox = tmp_path / "inbox"
+    service = JobDirectoryService(inbox, cache_dir=tmp_path / "cache",
+                                  job_timeout_s=job_timeout_s)
+    hit, miss = WorstCaseJob(use_cases=SPREAD3), DesignFlowJob(use_cases=SPREAD3)
+    save_job(hit, inbox / "a_warm.json")
+    service.run_once()
+
+    write_jobs(inbox / "b_mixed.json", [hit, miss, hit])
+    (record,) = service.run_once()
+    assert (record["jobs"], record["cached"], record["executed"]) == (3, 2, 1)
+    published = (inbox / record["results"]).read_text()
+    assert [envelope["cached"] for envelope in json.loads(published)] == [
+        True, False, True,
+    ]
+    assert published == dict_encoding(published)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_duplicated_spec_counts_one_execution_in_both_modes(tmp_path, cached):
+    counts = {}
+    for mode, job_timeout_s in (("in-process", None), ("isolated", 60.0)):
+        inbox = tmp_path / mode
+        service = JobDirectoryService(
+            inbox, cache_dir=tmp_path / f"cache-{mode}" if cached else None,
+            job_timeout_s=job_timeout_s,
+        )
+        drains = []
+        for name in ("cold.json", "warm.json"):
+            write_jobs(inbox / name, [WorstCaseJob(use_cases=SPREAD3)] * 2)
+            (record,) = service.run_once()
+            drains.append((record["jobs"], record["cached"], record["executed"]))
+        counts[mode] = drains
+    warm = (2, 2, 0) if cached else (2, 0, 1)
+    assert counts == {"in-process": [(2, 0, 1), warm], "isolated": [(2, 0, 1), warm]}
+
+
+def test_injected_corruption_of_a_hit_only_file_still_quarantines(tmp_path):
+    inbox = tmp_path / "inbox"
+    cache = tmp_path / "cache"
+    warm = JobDirectoryService(inbox, cache_dir=cache)
+    save_job(WorstCaseJob(use_cases=SPREAD3), inbox / "a_warm.json")
+    warm.run_once()
+
+    service = JobDirectoryService(
+        inbox, cache_dir=cache, max_attempts=3, retry_backoff_s=0.0,
+        fault_injector=FaultInjector(corrupt_rate=1.0),
+    )
+    save_job(WorstCaseJob(use_cases=SPREAD3), inbox / "b_hit.json")
+    (record,) = service.run_once()
+    assert record["status"] == "failed" and record["quarantined"] is True
+    assert record["attempts"] == 3
+    assert all("results payload is corrupt" in error
+               for error in record["attempt_errors"])
+    # every attempt was a hit whose published bytes were validated first
+    assert service.runner.cache.hits == 3
+    assert not (service.results_dir / "b_hit.json").exists()
+    assert (service.failed_dir / "b_hit.json").exists()
+
+
+_TRICKY = ', "cached": false, "stats": {}}'
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text() | st.sampled_from([0.1, 1e-300, "naïve ✓ 图", _TRICKY])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_JSON_OBJECTS = st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=4)
+
+
+@given(
+    kind=st.text(min_size=1, max_size=12),
+    params=_JSON_OBJECTS,
+    config=_JSON_OBJECTS,
+    payload=_JSON_OBJECTS,
+    elapsed_s=st.floats(allow_nan=False) | st.sampled_from([0.1, 1e-300]),
+    stats=_JSON_OBJECTS,
+)
+@example(kind="worst_case", params={}, config={}, payload={"note": _TRICKY},
+         elapsed_s=1e-300, stats={})
+@example(kind="dësign ✓", params={"f": 0.1}, config={"ü": [1e-300]},
+         payload={"text": _TRICKY, "nested": {"cached": False}}, elapsed_s=0.1,
+         stats={"engine": {"hits": 1, "nested": {"deeper": [0.1, {}]}}})
+@settings(max_examples=60, deadline=None)
+def test_put_then_get_needs_no_encoding_for_any_envelope(
+    kind, params, config, payload, elapsed_s, stats
+):
+    key = "e" * 64
+    result = JobResult(kind, key, params, config, payload, elapsed_s, stats=stats)
+    with tempfile.TemporaryDirectory() as directory:
+        cache = JobCache(directory)
+        cache.put(key, result)
+        assert cache.path_for(key).read_text() == json.dumps(result.to_dict())
+        hit = cache.get(key)
+    assert hit.text is not None  # the stored bytes with the flag flipped
+    assert hit.to_json() == json.dumps(hit.to_dict())
+    assert hit == dataclasses.replace(result, cached=True)
+    assert repr(hit) == repr(dataclasses.replace(hit, text=None))
 
 
 # --------------------------------------------------------------------------- #

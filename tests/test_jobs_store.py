@@ -437,8 +437,9 @@ def test_sync_store_folds_legacy_envelopes_into_the_store(tmp_path):
     # idempotent, and incremental: a seen envelope is not even re-read
     assert cache.sync_store(seen=seen)["results"] == 0
     assert cache.sync_store()["results"] == 0
-    # the legacy envelope is still a valid cache entry
-    assert cache.get(key)["engine_results"]
+    # the legacy envelope is still a valid cache entry, left as it was
+    assert cache.get(key) is not None
+    assert json.loads(cache.path_for(key).read_text())["engine_results"]
 
 
 # --------------------------------------------------------------------------- #
