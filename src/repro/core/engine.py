@@ -63,17 +63,24 @@ _MISSING = object()
 
 
 class _RequirementBundle:
-    """Everything derived from (spec, grouping) that mapping runs share."""
+    """Everything derived from (spec, grouping) that mapping runs share.
+
+    A cold :meth:`MappingEngine.map` reads only ``requirements`` and
+    ``worklist``.  The fixed-placement plan that evaluation, screening and
+    repair read (``order``, ``group_plans``, ``group_endpoints``) is built
+    on first use.
+    """
 
     __slots__ = (
         "requirements",
         "worklist",
-        "order",
-        "group_plans",
-        "group_endpoints",
         "spec_core_names",
         "spec_hash",
         "groups_key",
+        "_compiled_groups",
+        "_core_index",
+        "_group_plans",
+        "_group_endpoints",
     )
 
     def __init__(self, spec: CompiledSpec, resolved: Tuple[FrozenSet[str], ...]) -> None:
@@ -84,32 +91,55 @@ class _RequirementBundle:
         self.groups_key: Tuple[Tuple[str, ...], ...] = tuple(
             tuple(sorted(group)) for group in resolved
         )
-        compiled_groups = spec.groups_for(resolved)
+        self._compiled_groups = spec.groups_for(resolved)
+        self._core_index = spec.core_index
         self.requirements: Tuple[GroupRequirement, ...] = tuple(
-            GroupRequirement.from_compiled(group) for group in compiled_groups
+            GroupRequirement.from_compiled(group) for group in self._compiled_groups
         )
         self.worklist = _Worklist(self.requirements)
-        #: global fixed-placement processing order (see _Worklist)
-        self.order = self.worklist.placement_sequence()
-        #: per group: its slice of ``order``, each requirement paired with
-        #: the (member name, member flow) records to emit for it
-        self.group_plans: Dict[int, List] = {req.group_id: [] for req in self.requirements}
-        by_group = {req.group_id: req for req in self.requirements}
-        for pair_req in self.order:
-            requirement = by_group[pair_req.group_id]
-            members = tuple(
-                (member.name, flow)
-                for member in requirement.members
-                for flow in (member.flow_between(pair_req.source, pair_req.destination),)
-                if flow is not None
-            )
-            self.group_plans[pair_req.group_id].append((pair_req, members))
-        #: per group: the cores whose placement its evaluation depends on,
-        #: as indices into the spec's interned core table (compact cache keys)
-        self.group_endpoints: Dict[int, Tuple[int, ...]] = {
-            group.group_id: tuple(spec.core_index[name] for name in group.endpoints)
-            for group in compiled_groups
-        }
+        self._group_plans: Optional[Dict[int, List]] = None
+        self._group_endpoints: Optional[Dict[int, Tuple[int, ...]]] = None
+
+    @property
+    def order(self) -> Tuple:
+        """The global fixed-placement processing order (see :class:`_Worklist`)."""
+        return self.worklist.placement_sequence()
+
+    @property
+    def group_plans(self) -> Dict[int, List]:
+        """Per group, its slice of ``order`` with the records to emit.
+
+        Each requirement is paired with the (member name, member flow)
+        records of the members that have a flow between its cores.
+        """
+        if self._group_plans is None:
+            group_plans: Dict[int, List] = {req.group_id: [] for req in self.requirements}
+            by_group = {req.group_id: req for req in self.requirements}
+            for pair_req in self.order:
+                requirement = by_group[pair_req.group_id]
+                members = tuple(
+                    (member.name, flow)
+                    for member in requirement.members
+                    for flow in (member.flow_between(pair_req.source, pair_req.destination),)
+                    if flow is not None
+                )
+                group_plans[pair_req.group_id].append((pair_req, members))
+            self._group_plans = group_plans
+        return self._group_plans
+
+    @property
+    def group_endpoints(self) -> Dict[int, Tuple[int, ...]]:
+        """Per group, the cores whose placement its evaluation depends on.
+
+        Indices into the spec's interned core table (compact cache keys).
+        """
+        if self._group_endpoints is None:
+            core_index = self._core_index
+            self._group_endpoints = {
+                group.group_id: tuple(core_index[name] for name in group.endpoints)
+                for group in self._compiled_groups
+            }
+        return self._group_endpoints
 
 
 def _outcome_to_doc(
@@ -561,14 +591,14 @@ class MappingEngine:
         if fault is not None:
             raise MappingError(fault, largest_topology=topology.name)
         core_names = bundle.spec_core_names
+        group_endpoints = bundle.group_endpoints
         outcomes: Dict[int, _GroupOutcome] = {}
         for requirement in bundle.requirements:
             group_id = requirement.group_id
             if only is not None and group_id not in only:
                 continue
             projection = tuple(
-                placement[core_names[index]]
-                for index in bundle.group_endpoints[group_id]
+                placement[core_names[index]] for index in group_endpoints[group_id]
             )
             outcome, _computed = self._group_outcome(
                 bundle, topology, group_id, projection, placement

@@ -45,7 +45,7 @@ from repro.core.result import FlowAllocation, MappingResult, UseCaseConfiguratio
 from repro.core.switching import SwitchingGraph
 from repro.core.usecase import Flow, TrafficClass, UseCase, UseCaseSet
 from repro.exceptions import ConfigurationError, MappingError, SpecificationError
-from repro.noc.resources import INFEASIBLE_COST, ResourceState
+from repro.noc.resources import INFEASIBLE_COST, PRUNE_MARGIN, ResourceState
 from repro.noc.routing import PathSelector
 from repro.noc.slot_table import pipelined_link_slots, slots_needed_cached
 from repro.noc.topology import Topology, mesh_growth_schedule
@@ -264,10 +264,15 @@ class _AttemptAccounting:
         self._by_endpoint = worklist.by_endpoint
 
     def _distance(self, first: int, second: int) -> int:
-        """Hop distance between two switches (Manhattan on grids).
+        """Grid distance between two switches, for the placement heuristic.
 
-        Decided per pair, so a partially-positioned custom topology falls
-        back to the shortest hop count only where a position is missing.
+        Manhattan distance wherever both switches have a grid position,
+        which ignores a torus's wraparound links; the shortest hop count
+        only where a position is missing (decided per pair).  It ranks
+        placement candidates and sets the core spacing, and that behaviour
+        is kept as it is.  It is not a hop count, so the placement scan's
+        cost bound must not use it: that bound takes
+        :meth:`Topology.hop_lower_bound <repro.noc.topology.Topology.hop_lower_bound>`.
         """
         a = self._positions[first]
         b = self._positions[second]
@@ -825,6 +830,17 @@ class UnifiedMapper:
         combination is scored by the cheapest candidate path between the two
         switches in the group's resource state, and the overall cheapest
         combination wins.  ``needed`` is the pair's slot demand per link.
+
+        Combinations are priced in ascending order of a lower bound on any
+        of their paths' costs, the topology's
+        :meth:`~repro.noc.topology.Topology.hop_lower_bound` times the
+        state's :meth:`~repro.noc.resources.ResourceState.cost_per_hop_floor`,
+        and the scan stops at the first bound above the best cost plus its
+        :data:`~repro.noc.resources.PRUNE_MARGIN`.  A skipped combination
+        cannot win, and the winner is the least ``(cost, source switch,
+        destination switch, path)``, so the scan order never changes it.  A
+        combination with no admissible path (a failure cut the switches
+        apart) cannot host the flow and is skipped.
         """
         topology = selector.topology
         source_fixed = core_mapping.get(req.source)
@@ -849,7 +865,8 @@ class UnifiedMapper:
         if not source_candidates or not destination_candidates:
             return None
 
-        best: Optional[Tuple[float, int, int, Tuple[int, ...]]] = None
+        hop_bound = topology.hop_lower_bound
+        by_hops: Dict[int, List[Tuple[int, int]]] = {}
         for source_switch in source_candidates:
             for destination_switch in destination_candidates:
                 if (
@@ -864,7 +881,18 @@ class UnifiedMapper:
                     occupied = self._acct.occupancy[source_switch]
                     if limit is not None and occupied + 2 > limit:
                         continue
-                for path in selector.candidate_paths(source_switch, destination_switch):
+                hops = hop_bound(source_switch, destination_switch)
+                by_hops.setdefault(hops, []).append((source_switch, destination_switch))
+
+        floor = state.cost_per_hop_floor(req.bandwidth, needed, self.config)
+        best: Optional[Tuple[float, int, int, Tuple[int, ...]]] = None
+        for hops in sorted(by_hops):
+            if max_hops is not None and hops > max_hops:
+                break
+            if best is not None and hops * floor > best[0] + PRUNE_MARGIN * abs(best[0]):
+                break
+            for source_switch, destination_switch in by_hops[hops]:
+                for path in selector.admissible_paths(source_switch, destination_switch):
                     if max_hops is not None and len(path) - 1 > max_hops:
                         continue
                     cost = state.path_cost(path, req.bandwidth, needed, self.config)

@@ -12,6 +12,10 @@ methods are steps 4–5 of Algorithm 2 for one core pair:
   reservation along it would get, or ``None``, and
 * :meth:`ResourceState.reserve` commits them.
 
+:meth:`ResourceState.cost_per_hop_floor` bounds the first from below, which
+lets the constructive mapper skip switch pairs that cannot beat the best
+path it has priced.
+
 :meth:`repro.noc.routing.PathSelector.select_least_cost` ranks a pair's
 candidate paths with the first and tries them with the second; the
 constructive mapper and the fixed-placement evaluator both place every pair
@@ -37,10 +41,16 @@ from repro.noc.slot_table import lowest_set_bits, pipelined_free_mask
 from repro.noc.topology import Link
 from repro.params import MapperConfig, NoCParameters
 
-__all__ = ["INFEASIBLE_COST", "ResourceState"]
+__all__ = ["INFEASIBLE_COST", "PRUNE_MARGIN", "ResourceState"]
 
 #: Cost value returned for paths that cannot possibly carry a flow.
 INFEASIBLE_COST = float("inf")
+
+#: relative pruning margin guaranteeing float-accumulation noise can never
+#: misclassify the true winner (costs are bandwidth-scale, noise is ~ulp):
+#: a candidate is skipped only when its cost lower bound exceeds the best
+#: cost found by more than this fraction of it
+PRUNE_MARGIN = 1e-9
 
 
 class ResourceState:
@@ -114,6 +124,24 @@ class ResourceState:
                 # ``free >= needed >= 1`` here, so no clamping is required.
                 cost += slot_weight * (needed / free)
         return cost
+
+    def cost_per_hop_floor(
+        self, bandwidth: float, needed: int, config: MapperConfig
+    ) -> float:
+        """The least :meth:`path_cost` charges per link, in any state.
+
+        Each link of a path adds ``hop_weight``, ``bandwidth_weight ×
+        bandwidth / residual`` and, for a guaranteed flow, ``slot_weight ×
+        needed / free``.  A residual never exceeds :attr:`capacity`, a link
+        never has more than :attr:`size` free slots and the weights are
+        non-negative, so a path of ``h`` links costs at least ``h`` times
+        this.  The float sum can undercut the product by a few ulps, which
+        :data:`PRUNE_MARGIN` absorbs.
+        """
+        floor = config.hop_weight + config.bandwidth_weight * (bandwidth / self.capacity)
+        if needed:
+            floor += config.slot_weight * (needed / self.size)
+        return floor
 
     def can_reserve(
         self,

@@ -57,8 +57,20 @@ def xy_path(topology: Topology, source: int, destination: int) -> Tuple[int, ...
 
     Moves along the column (X) dimension first, then along the row (Y)
     dimension, which is the classic deadlock-free deterministic routing
-    function for meshes.
+    function for meshes.  Raises :class:`RoutingError` when a failure
+    removed one of its links.
     """
+    path = _xy_route(topology, source, destination)
+    for here, there in zip(path, path[1:]):
+        if not topology.has_link(here, there):
+            raise RoutingError(
+                f"XY path {list(path)} uses missing link ({here}, {there}) on {topology.name!r}"
+            )
+    return path
+
+
+def _xy_route(topology: Topology, source: int, destination: int) -> Tuple[int, ...]:
+    """The XY switch sequence, whether or not its links survived."""
     src = topology.switch(source)
     dst = topology.switch(destination)
     if src.position is None or dst.position is None:
@@ -80,11 +92,6 @@ def xy_path(topology: Topology, source: int, destination: int) -> Tuple[int, ...
     while row != dst.row:
         row += step
         path.append(row * cols + col)
-    for here, there in zip(path, path[1:]):
-        if not topology.has_link(here, there):
-            raise RoutingError(
-                f"XY path {path} uses missing link ({here}, {there}) on {topology.name!r}"
-            )
     return tuple(path)
 
 
@@ -204,9 +211,24 @@ class PathSelector:
     def candidate_paths(self, source: int, destination: int) -> Tuple[Tuple[int, ...], ...]:
         """All candidate switch paths from ``source`` to ``destination``.
 
-        The result always contains at least one path when the pair is
-        connected; for ``source == destination`` it is the single-element
-        path ``(source,)``.
+        The result always contains at least one path; for ``source ==
+        destination`` it is the single-element path ``(source,)``.  Raises
+        :class:`RoutingError` when the policy admits no path between the
+        two switches (a failure cut them apart).
+        """
+        paths = self.admissible_paths(source, destination)
+        if not paths:
+            raise RoutingError(
+                f"no path from switch {source} to switch {destination} "
+                f"on {self.topology.name!r}"
+            )
+        return paths
+
+    def admissible_paths(self, source: int, destination: int) -> Tuple[Tuple[int, ...], ...]:
+        """:meth:`candidate_paths`, but ``()`` where the policy admits no path.
+
+        The constructive mapper scores switch pairs it has not committed to
+        yet, and a pair that a failure cut apart simply cannot host a flow.
         """
         key = (source, destination)
         cached = self._cache.get(key)
@@ -218,11 +240,6 @@ class PathSelector:
             paths: Tuple[Tuple[int, ...], ...] = ((source,),)
         else:
             paths = tuple(self._enumerate(source, destination))
-            if not paths:
-                raise RoutingError(
-                    f"no path from switch {source} to switch {destination} "
-                    f"on {self.topology.name!r}"
-                )
         self._cache[key] = paths
         return paths
 
@@ -230,7 +247,7 @@ class PathSelector:
         policy = self.config.routing_policy
         limit = self.config.max_paths_per_pair
         if policy == RoutingPolicy.XY:
-            return [xy_path(self.topology, source, destination)]
+            return self._surviving_xy_path(source, destination)
         grid = self.topology.kind == "mesh" and self.topology.dimensions is not None
         if grid and policy in (RoutingPolicy.MINIMAL, RoutingPolicy.WEST_FIRST):
             paths = mesh_minimal_paths(self.topology, source, destination, limit)
@@ -238,14 +255,7 @@ class PathSelector:
                 filtered = [
                     path for path in paths if is_west_first_path(self.topology, path)
                 ]
-                if filtered:
-                    paths = filtered
-                else:
-                    try:
-                        paths = [xy_path(self.topology, source, destination)]
-                    except RoutingError:
-                        # On a degraded mesh even the XY path may be broken.
-                        paths = []
+                paths = filtered or self._surviving_xy_path(source, destination)
             if paths or not self.topology.has_failures:
                 return paths
             # Every minimal grid path hits a failed resource: fall through to
@@ -276,11 +286,16 @@ class PathSelector:
             # The turn model always admits at least the XY path — unless a
             # failure broke it, in which case the pair is simply unroutable
             # under west-first and candidate_paths reports no path.
-            try:
-                paths = [xy_path(self.topology, source, destination)]
-            except RoutingError:
-                paths = []
+            paths = self._surviving_xy_path(source, destination)
         return paths
+
+    def _surviving_xy_path(self, source: int, destination: int) -> List[Tuple[int, ...]]:
+        """The XY path as a one-path list, or ``[]`` where a failure broke it."""
+        path = _xy_route(self.topology, source, destination)
+        has_link = self.topology.has_link
+        if all(has_link(here, there) for here, there in zip(path, path[1:])):
+            return [path]
+        return []
 
     # ------------------------------------------------------------------ #
     # selection

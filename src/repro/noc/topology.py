@@ -342,17 +342,62 @@ class Topology:
         return nx.is_strongly_connected(self._graph)
 
     def shortest_hop_count(self, source: int, destination: int) -> int:
-        """Minimum number of links between two switches."""
+        """Minimum number of links between two switches.
+
+        Closed form on a failure-free mesh, torus or ring; a breadth-first
+        search on degraded and custom topologies.
+        """
         self.switch(source)
         self.switch(destination)
         if source == destination:
             return 0
+        if not self.has_failures:
+            hops = self._shape_hop_count(source, destination)
+            if hops is not None:
+                return hops
         try:
             return nx.shortest_path_length(self._graph, source, destination)
         except nx.NetworkXNoPath:
             raise TopologyError(
                 f"no path from switch {source} to switch {destination} in {self.name!r}"
             ) from None
+
+    def hop_lower_bound(self, source: int, destination: int) -> int:
+        """A hop count that no path between two switches undercuts.
+
+        On a mesh, torus or ring it is the failure-free shape's closed form:
+        failures only remove links, so a degraded topology's surviving paths
+        are never shorter.  Custom topologies use :meth:`shortest_hop_count`,
+        and a pair with no path at all gets 0.
+        """
+        self.switch(source)
+        self.switch(destination)
+        hops = self._shape_hop_count(source, destination)
+        if hops is not None:
+            return hops
+        try:
+            return nx.shortest_path_length(self._graph, source, destination)
+        except nx.NetworkXNoPath:
+            return 0
+
+    def _shape_hop_count(self, source: int, destination: int) -> Optional[int]:
+        """Shortest hop count on the failure-free shape, ``None`` for custom kinds."""
+        if self.kind == "ring":
+            gap = abs(source - destination)
+            return min(gap, self.switch_count - gap)
+        if self.kind not in ("mesh", "torus") or self.dimensions is None:
+            return None
+        first = self._switches[source].position
+        second = self._switches[destination].position
+        if first is None or second is None:
+            return None
+        rows = abs(first[0] - second[0])
+        cols = abs(first[1] - second[1])
+        if self.kind == "torus":
+            total_rows, total_cols = self.dimensions
+            rows = min(rows, total_rows - rows)
+            cols = min(cols, total_cols - cols)
+        return rows + cols
 
     def diameter(self) -> int:
         """Longest shortest-path hop count over all surviving switch pairs."""

@@ -32,6 +32,7 @@ import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import MappingError
+from repro.noc.resources import PRUNE_MARGIN
 
 __all__ = ["CandidateScreen", "ScreenedCandidate"]
 
@@ -64,11 +65,6 @@ class ScreenedCandidate:
             f"ScreenedCandidate(admissible={self.admissible}, "
             f"cost={self.cost}, lower_bound={self.lower_bound})"
         )
-
-
-#: relative pruning margin guaranteeing float-accumulation noise can never
-#: misclassify the true winner (costs are bandwidth-scale, noise is ~ulp)
-PRUNE_MARGIN = 1e-9
 
 
 class CandidateScreen:
@@ -134,13 +130,13 @@ class CandidateScreen:
             return ScreenedCandidate(False, None, math.inf)
         memo = self._memo
         distance = self._distance
+        group_endpoints = bundle.group_endpoints
         terms: List[float] = []
         all_known = True
         for requirement in bundle.requirements:
             group_id = requirement.group_id
             projection = tuple(
-                placement[core_names[index]]
-                for index in bundle.group_endpoints[group_id]
+                placement[core_names[index]] for index in group_endpoints[group_id]
             )
             key = (group_id, projection)
             if key in memo:
@@ -187,12 +183,12 @@ class CandidateScreen:
                 return None
         if self._engine.mapper.placement_fault(self._topology, placement) is not None:
             return None
+        group_endpoints = bundle.group_endpoints
         values: List[float] = []
         for requirement in bundle.requirements:
             group_id = requirement.group_id
             projection = tuple(
-                placement[core_names[index]]
-                for index in bundle.group_endpoints[group_id]
+                placement[core_names[index]] for index in group_endpoints[group_id]
             )
             sums = self._group_sums(
                 group_id, projection, placement, requirement.member_names

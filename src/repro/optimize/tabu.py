@@ -20,6 +20,7 @@ from repro.core.engine import MappingEngine
 from repro.core.result import MappingResult, total_communication_cost
 from repro.core.usecase import UseCaseSet
 from repro.exceptions import ConfigurationError
+from repro.noc.resources import PRUNE_MARGIN
 from repro.optimize.annealing import RefinementResult
 
 __all__ = ["TabuRefiner"]
@@ -126,8 +127,6 @@ class TabuRefiner:
         ``(cost, placement, move)``, or ``None`` when every sampled move
         was tabu or infeasible.
         """
-        from repro.optimize.screen import PRUNE_MARGIN
-
         sampled: List[Tuple[Dict[str, int], Tuple[str, str]]] = []
         for _ in range(self.neighbours_per_iteration):
             first, second = rng.sample(cores, 2)

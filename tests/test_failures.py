@@ -26,7 +26,8 @@ from repro import MappingEngine
 from repro.analysis import failure_sweep, single_link_failures, single_switch_failures
 from repro.analysis.failures import traffic_sweep
 from repro.core.repair import repair_mapping
-from repro.exceptions import RoutingError, SpecificationError, TopologyError
+from repro.core.validate import validate_mapping
+from repro.exceptions import MappingError, RoutingError, SpecificationError, TopologyError
 from repro.gen import generate_benchmark
 from repro.io.serialization import (
     mapping_fingerprint,
@@ -144,6 +145,55 @@ def test_degraded_mesh_routing_finds_detour():
     )
     with pytest.raises(RoutingError, match="no path"):
         PathSelector(islanded, config).candidate_paths(0, 3)
+    # the placement scan's lookup reports the cut-apart pair as pathless
+    assert PathSelector(islanded, config).admissible_paths(0, 3) == ()
+
+
+#: free placement of spread-6 designs (seeds 0-7) on a mesh whose link
+#: failures cut one live switch off: (rows, cols, switch) -> {seed:
+#: fingerprint}; every other seed raises MappingError
+CUT_OFF_PLACEMENTS = {
+    (3, 3, 0): {},
+    (4, 4, 5): {
+        1: "5742803b4572d554a6c078e97c8cdba5ac8b46b12f5386a5151cb9260f224dc0",
+        3: "3b339de2729816e2402bef1bbbcefba9fd3d316870dcd174d7706539f3fd9fd4",
+        4: "7360c4b81818f2682c9012cfe701d308d407bfcfcae94ee5ba26f1d493a5fcb9",
+    },
+    (4, 4, 15): {
+        0: "1c1be364263b76505561f29ed17f68c139ccb2fceeadbffd02a4104f9ed39ef2",
+        1: "f72cbba1e3c68fd01b24b079720bd5063af33b3013fa03cc25aa0385b9345a5b",
+        2: "c07f2ba948472638264697d7518d4fcd9e6b84526aea6e8624adc3be0d3120fd",
+        3: "82d90532634c8106f0d50d4f96a04e99d4a635c4c5e68ff172630abdaa14d29a",
+        4: "8efd9213194293763f36a9e434b9512c15ad38cde523df5904bc8a1faf082929",
+        5: "430a5c07abc392e29d223e3809e2d85dad73187ae70cbca74abe91ee11104aca",
+        6: "0fc103ceb7fe254f8326f19d045dc6bc034d57724f04ce8d5f3fdd6fc1d8aba1",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CUT_OFF_PLACEMENTS))
+def test_free_placement_skips_a_cut_off_switch(shape):
+    # The cut-off switch is alive, so it stays in the placement pool; a pool
+    # pair it cannot reach must read "cannot host this flow", never escape
+    # as RoutingError.
+    rows, cols, switch = shape
+    mesh = Topology.mesh(rows, cols)
+    failures = FailureSet()
+    for neighbour in mesh.neighbors(switch):
+        failures.mark_link_down(switch, neighbour)
+    degraded = mesh.with_failures(failures)
+    expected = CUT_OFF_PLACEMENTS[shape]
+    for seed in range(8):
+        use_cases = generate_benchmark("spread", 6, seed=seed)
+        mapper = MappingEngine().mapper
+        if seed not in expected:
+            with pytest.raises(MappingError, match="infeasible"):
+                mapper.map_with_placement(use_cases, degraded, {})
+            continue
+        result = mapper.map_with_placement(use_cases, degraded, {})
+        assert mapping_fingerprint(result) == expected[seed]
+        assert validate_mapping(result, use_cases).ok
+        assert switch not in result.core_mapping.values()
 
 
 # --------------------------------------------------------------------- #

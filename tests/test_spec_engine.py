@@ -174,6 +174,22 @@ def test_engine_requirement_bundle_cached_per_grouping(figure5_use_cases):
     assert len(engine.requirements_for(spec, shared).requirements) == 1
 
 
+def test_cold_map_builds_no_fixed_placement_plan(figure5_use_cases):
+    engine = MappingEngine()
+    result = engine.map(figure5_use_cases)
+    spec = engine.compile(figure5_use_cases)
+    bundle = engine.requirements_for(spec, engine.resolve_groups(spec))
+    # a cold map reads only the requirements and the worklist
+    assert bundle._group_plans is None and bundle._group_endpoints is None
+    engine.placement_cost(figure5_use_cases, result.topology, result.core_mapping)
+    # the first fixed-placement evaluation built the plan, once
+    plans = bundle.group_plans
+    assert plans is bundle.group_plans and bundle._group_endpoints is not None
+    assert [req for plan in plans.values() for req, _members in plan] == sorted(
+        bundle.order, key=lambda req: req.group_id
+    )
+
+
 def test_engine_map_matches_direct_mapper_and_caches(figure5_use_cases):
     direct = UnifiedMapper().map(figure5_use_cases)
     engine = MappingEngine()

@@ -1,9 +1,11 @@
 """Tests for the NoC topology model."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
 from repro import TopologyError
+from repro.noc.failures import FailureSet
 from repro.noc.topology import Switch, Topology, mesh_dimensions_for, mesh_growth_schedule
 
 
@@ -51,6 +53,61 @@ def test_shortest_hop_count_is_manhattan_on_mesh():
     mesh = Topology.mesh(4, 4)
     assert mesh.shortest_hop_count(0, 15) == 6
     assert mesh.shortest_hop_count(5, 5) == 0
+
+
+def _bfs_hops(topology, source, destination):
+    return nx.shortest_path_length(topology.graph(), source, destination)
+
+
+def _shapes_up_to_5x5():
+    for rows in range(1, 6):
+        for cols in range(1, 6):
+            yield Topology.mesh(rows, cols)
+            yield Topology.torus(rows, cols)
+    for count in range(1, 26):
+        yield Topology.ring(count)
+
+
+def test_shortest_hop_count_closed_form_matches_bfs_up_to_5x5():
+    for topology in _shapes_up_to_5x5():
+        for source in range(topology.switch_count):
+            for destination in range(topology.switch_count):
+                expected = _bfs_hops(topology, source, destination)
+                assert topology.shortest_hop_count(source, destination) == expected, (
+                    topology.name, source, destination,
+                )
+                assert topology.hop_lower_bound(source, destination) == expected
+
+
+def test_hop_lower_bound_never_exceeds_a_degraded_topologys_hops():
+    cases = [
+        Topology.mesh(4, 4).with_failures(FailureSet().mark_link_down(5, 6).mark_switch_down(9)),
+        Topology.torus(4, 5).with_failures(FailureSet().mark_link_down(0, 4).mark_link_down(6, 7)),
+        Topology.ring(7).with_failures(FailureSet().mark_link_down(0, 6)),
+    ]
+    for topology in cases:
+        graph = topology.graph()
+        for source in range(topology.switch_count):
+            for destination in range(topology.switch_count):
+                bound = topology.hop_lower_bound(source, destination)
+                if nx.has_path(graph, source, destination):
+                    hops = _bfs_hops(topology, source, destination)
+                    assert bound <= hops
+                    # a degraded topology's exact count is still the BFS one
+                    assert topology.shortest_hop_count(source, destination) == hops
+                else:
+                    with pytest.raises(TopologyError):
+                        topology.shortest_hop_count(source, destination)
+    # the wraparound link 0<->6 is down, so the ring's bound undercuts
+    assert cases[2].hop_lower_bound(0, 6) == 1 < cases[2].shortest_hop_count(0, 6) == 6
+
+
+def test_hop_lower_bound_on_a_custom_topology_is_its_bfs_count():
+    custom = Topology.custom([(0, 1), (1, 2), (3, 4)], name="two-islands")
+    assert custom.hop_lower_bound(0, 2) == 2
+    assert custom.hop_lower_bound(0, 4) == 0  # no path: any bound holds
+    with pytest.raises(TopologyError):
+        custom.shortest_hop_count(0, 4)
 
 
 def test_torus_adds_wraparound_links():
